@@ -6,9 +6,14 @@ function: ``attend_naive`` materializes the full weight matrix and is the
 reference, while ``attend_two_pass`` streams key tiles twice, first
 collecting per-query softmax statistics (running max and exp-sum), then
 applying the offset + rectifier and the weighted value sum, keeping
-auxiliary memory linear in sequence length for a fixed tile size. The
-two-pass backward recomputes tile-local weights from the saved statistics
-instead of storing the full matrix.
+auxiliary memory linear in sequence length for a fixed tile size. Each
+key tile meets only the query rows at or after its first key, since the
+rows before it are fully masked. Under a tape, pass 2 also saves the
+O(n) sum U of the values each query's rectifier lets through; from it and
+the output, the backward gets the softmax row-dot and the offset gradient
+without a sweep of its own, so it replays the tiles once, recomputing
+block weights from the saved statistics instead of storing the full
+matrix.
 
 Sparsemax needs globally sorted rows, which does not stream; it is
 supported on the naive path only.
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShapeError, Tensor, matmul, record_op
+from .core import ShapeError, Tensor, is_recording, matmul, record_op
 from .normalizers import NormalizerMode, sparsemax_row, sparsemax_vjp
 from .positional import (
     RopeConfig,
@@ -320,30 +325,44 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     return record_op(out, tuple(inputs), vjp)
 
 
+@functools.lru_cache(maxsize=128)
+def _tile_distances(n: int, t0: int, t1: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distance index for query rows [t0, n) against key columns [t0, t1).
+
+    Returns read-only (d, idx): the distances i - j, and the same distances
+    with every entry outside [0, window] sent to the sentinel ``window + 1``
+    (the validity mask, folded into the index).
+    """
+    d = np.arange(t0, n)[:, None] - np.arange(t0, t1)[None, :]
+    idx = np.where((d >= 0) & (d <= window), d, window + 1)
+    d.setflags(write=False)
+    idx.setflags(write=False)
+    return d, idx
+
+
 def _bias_block(table: np.ndarray | None, config: AttentionConfig, window: int,
                 n: int, t0: int, t1: int, dtype) -> np.ndarray | None:
-    """(H, n, t1-t0) additive score bias for key columns [t0, t1)."""
+    """(H, n-t0, t1-t0) additive score bias for query rows [t0, n), keys [t0, t1).
+
+    ``table`` is the (H, window+2) distance table with a zero sentinel
+    column appended.
+    """
     if config.positional == "alibi":
-        d = np.abs(np.arange(n)[:, None] - np.arange(t0, t1)[None, :]).astype(dtype)
+        d = np.abs(_tile_distances(n, t0, t1, window)[0]).astype(dtype)
         slopes = 2.0 ** (-8.0 * (np.arange(config.n_heads) + 1) / config.n_heads)
         return -slopes[:, None, None].astype(dtype) * d[None]
     if table is None:
         return None
-    d = np.arange(n)[:, None] - np.arange(t0, t1)[None, :]
-    valid = (d >= 0) & (d <= window)
-    idx = np.where(valid, d, 0)
-    return table[:, idx] * valid
+    return np.take(table, _tile_distances(n, t0, t1, window)[1], axis=1)
 
 
 def _bias_grad_block(g_h: np.ndarray, window: int, t0: int) -> np.ndarray:
-    """Fold (H, n, T) score grads for key columns starting at t0 onto the table."""
-    h, n, t = g_h.shape
-    d = np.arange(n)[:, None] - np.arange(t0, t0 + t)[None, :]
-    valid = (d >= 0) & (d <= window)
-    dist = d[valid]
+    """Fold (H, n-t0, T) score grads for rows [t0, n), keys [t0, t0+T) onto the table."""
+    h, rows, t = g_h.shape
+    idx = _tile_distances(t0 + rows, t0, t0 + t, window)[1].reshape(-1)
     out = np.empty((h, window + 1), dtype=g_h.dtype)
     for hi in range(h):
-        out[hi] = np.bincount(dist, weights=g_h[hi][valid], minlength=window + 1)
+        out[hi] = np.bincount(idx, weights=g_h[hi].reshape(-1), minlength=window + 2)[:-1]
     return out
 
 
@@ -353,13 +372,22 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
                     meter: AllocationMeter | None = None) -> Tensor:
     """Tiled attention equal to ``attend_naive`` for every offset normalizer.
 
-    Pass 1 streams key tiles and keeps only per-query running max and
-    exp-sum. Pass 2 streams the tiles again, rebuilds each weight block
-    from those statistics, applies the offset + rectifier, and accumulates
-    the value sum. Nothing of size n*n is materialized (unless ``capture``
-    asks for the weights), so auxiliary memory is O(n) per head at a fixed
-    tile size. The backward pass replays the tiles twice more, recomputing
-    block weights from the saved statistics.
+    Key tile [t0, t1) only meets query rows [t0, n): earlier rows are fully
+    masked, so every pass skips them, and only the diagonal square
+    [t0, t1) x [t0, t1) needs the causal mask. Pass 1 keeps per-query
+    running max and exp-sum. Pass 2 rebuilds each weight block from those
+    statistics, applies the offset + rectifier, and accumulates the value
+    sum O; when a tape will record the op and the normalizer has an offset,
+    it also accumulates U_i = sum_j gate_ij v_j over the active entries.
+    Nothing of size n*n is materialized (unless ``capture`` asks for the
+    weights), so auxiliary memory is O(n) per head at a fixed tile size.
+
+    The backward is one sweep over the tiles. Because the weights are
+    gate * (p + off), the softmax row-dot is rho_i = dO_i . (O_i - off_i U_i)
+    (dO_i . O_i for softmax) and the offset gradient is sum_i dO_i . U_i / i
+    (per-query) or sum_i dO_i . U_i (global), both read from saved values;
+    the sweep then recomputes block weights and yields dq, dk, dv and the
+    bias gradient together.
     """
     n = _check_qkv(q, k, v, config, batch)
     h, dh = config.n_heads, config.head_dim
@@ -371,62 +399,54 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     tile = min(config.tile, n)
 
     bias_table, window = _resolve_bias(bias, config)
+    if bias_table is not None:
+        bias_table = np.concatenate([bias_table.astype(dtype, copy=False),
+                                     np.zeros((h, 1), dtype=dtype)], axis=1)
     tau_g = _resolve_tau(tau, config, batch)
-    lower = _lower_mask(n)
     off = _row_offsets(kind, tau_g, n, dtype)
 
     q3 = _split_groups(q.data, batch, h)
     k3 = _split_groups(k.data, batch, h)
     v3 = _split_groups(v.data, batch, h)
     groups = batch * h
+    tiles = [(t0, min(t0 + tile, n)) for t0 in range(0, n, tile)]
 
     def score_block(t0: int, t1: int) -> np.ndarray:
-        s = q3 @ k3[:, t0:t1].transpose(0, 2, 1)
+        s = q3[:, t0:] @ k3[:, t0:t1].transpose(0, 2, 1)
         s *= sc
         blk = _bias_block(bias_table, config, window, n, t0, t1, dtype)
         if blk is not None:
-            s.reshape(batch, h, n, t1 - t0)[...] += blk[None]
-        return np.where(lower[:, t0:t1], s, -np.inf)
+            s.reshape(batch, h, n - t0, t1 - t0)[...] += blk[None]
+        np.copyto(s[:, : t1 - t0], -np.inf, where=~_lower_mask(t1 - t0))
+        return s
+
+    def weight_block(t0: int, t1: int):
+        """Softmax probs, weights and active gate (None for softmax) of a tile."""
+        p = np.exp(score_block(t0, t1) - m[:, t0:, None]) / l[:, t0:, None]
+        if kind == "none":
+            return p, p, None
+        pre = p + off[:, t0:, None]
+        gate = pre > 0
+        w = np.maximum(pre, 0.0)
+        lower = _lower_mask(t1 - t0)
+        gate[:, : t1 - t0] &= lower
+        w[:, : t1 - t0] *= lower
+        return p, w, gate
 
     # Pass 1: running softmax statistics.
     m = np.full((groups, n), -np.inf, dtype=dtype)
     l = np.zeros((groups, n), dtype=dtype)
-    for t0 in range(0, n, tile):
-        t1 = min(t0 + tile, n)
+    for t0, t1 in tiles:
         s = score_block(t0, t1)
         bm = s.max(axis=-1)
-        nm = np.maximum(m, bm)
+        mt, lt = m[:, t0:], l[:, t0:]
+        nm = np.maximum(mt, bm)
         e = np.exp(s - nm[:, :, None])
-        l = l * np.exp(m - nm) + e.sum(axis=-1)
-        m = nm
+        lt *= np.exp(mt - nm)
+        lt += e.sum(axis=-1)
+        mt[...] = nm
         if meter is not None:
-            meter.observe(s.nbytes + e.nbytes + bm.nbytes + 2 * m.nbytes + l.nbytes)
-
-    # Pass 2: offset + rectifier, weighted value sum.
-    out3 = np.zeros((groups, n, dh), dtype=dtype)
-    cap = None
-    if capture is not None:
-        cap = np.zeros((groups, n, n), dtype=np.float32)
-    for t0 in range(0, n, tile):
-        t1 = min(t0 + tile, n)
-        s = score_block(t0, t1)
-        p = np.exp(s - m[:, :, None]) / l[:, :, None]
-        if kind == "none":
-            w = p
-        else:
-            w = np.maximum(p + off[:, :, None], 0.0) * lower[:, t0:t1]
-        out3 += w @ v3[:, t0:t1]
-        if cap is not None:
-            cap[:, :, t0:t1] = w
-        if meter is not None:
-            meter.observe(s.nbytes + p.nbytes + w.nbytes + m.nbytes + l.nbytes + out3.nbytes)
-
-    out = Tensor(_merge_groups(out3, batch, h),
-                 requires_grad=any(t.requires_grad for t in (q, k, v))
-                 or (bias is not None and bias.requires_grad)
-                 or (tau is not None and tau.requires_grad))
-    if cap is not None:
-        capture.add(cap.reshape(batch, h, n, n))
+            meter.observe(s.nbytes + e.nbytes + bm.nbytes + nm.nbytes + m.nbytes + l.nbytes)
 
     inputs = [q, k, v]
     learn_bias = bias is not None and config.positional == "rope_bias"
@@ -434,53 +454,65 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         inputs.append(bias)
     if tau_g is not None:
         inputs.append(tau)
+    extras = [t for t in (bias, tau) if t is not None]
+    requires_grad = any(t.requires_grad for t in (q, k, v, *extras))
+
+    # Pass 2: offset + rectifier, weighted value sum, and U for the backward.
+    out3 = np.zeros((groups, n, dh), dtype=dtype)
+    u3 = None
+    if kind != "none" and is_recording(q, k, v, *extras):
+        u3 = np.zeros_like(out3)
+    cap = None
+    if capture is not None:
+        cap = np.zeros((groups, n, n), dtype=np.float32)
+    for t0, t1 in tiles:
+        p, w, gate = weight_block(t0, t1)
+        out3[:, t0:] += w @ v3[:, t0:t1]
+        if u3 is not None:
+            u3[:, t0:] += gate.astype(dtype) @ v3[:, t0:t1]
+        if cap is not None:
+            cap[:, t0:, t0:t1] = w
+        if meter is not None:
+            # score, probability and weight blocks, plus the O(n) state
+            meter.observe(3 * p.nbytes + m.nbytes + l.nbytes + out3.nbytes
+                          + (0 if u3 is None else u3.nbytes))
+
+    out = Tensor(_merge_groups(out3, batch, h), requires_grad=requires_grad)
+    if cap is not None:
+        capture.add(cap.reshape(batch, h, n, n))
+
     rows1 = np.arange(1, n + 1, dtype=dtype)
 
     def vjp(g):
         g3 = _split_groups(g, batch, h)
-        dv3 = np.zeros_like(v3)
-        rho = np.zeros((groups, n), dtype=dtype)
-        dtau_g = np.zeros(groups, dtype=dtype) if kind in ("per_query", "global") else None
+        dtau_h = None
+        if kind == "none":
+            rho = (g3 * out3).sum(axis=-1)
+        else:
+            rho = (g3 * (out3 - off[:, :, None] * u3)).sum(axis=-1)
+            gu = (g3 * u3).sum(axis=-1)
+            if kind == "per_query":
+                dtau_h = (gu / rows1[None, :]).sum(axis=-1).reshape(batch, h).sum(axis=0)
+            elif kind == "global":
+                dtau_h = gu.sum(axis=-1).reshape(batch, h).sum(axis=0)
 
-        # Sweep 1: dv, the softmax row-dot, and the offset gradient.
-        for t0 in range(0, n, tile):
-            t1 = min(t0 + tile, n)
-            s = score_block(t0, t1)
-            p = np.exp(s - m[:, :, None]) / l[:, :, None]
-            dw = g3 @ v3[:, t0:t1].transpose(0, 2, 1)
-            if kind == "none":
-                w = p
-                dpre = dw * lower[:, t0:t1]
-            else:
-                pre = p + off[:, :, None]
-                gate = (pre > 0) & lower[:, t0:t1]
-                w = np.maximum(pre, 0.0) * lower[:, t0:t1]
-                dpre = dw * gate
-                if kind == "per_query":
-                    dtau_g += (dpre.sum(axis=-1) / rows1[None, :]).sum(axis=-1)
-                elif kind == "global":
-                    dtau_g += dpre.sum(axis=(-1, -2))
-            dv3[:, t0:t1] += w.transpose(0, 2, 1) @ g3
-            rho += (p * dpre).sum(axis=-1)
-
-        # Sweep 2: score gradients back to q, k, and the bias table.
         dq3 = np.zeros_like(q3)
         dk3 = np.zeros_like(k3)
+        dv3 = np.zeros_like(v3)
         dbias = np.zeros((h, window + 1), dtype=dtype) if learn_bias else None
-        for t0 in range(0, n, tile):
-            t1 = min(t0 + tile, n)
-            s = score_block(t0, t1)
-            p = np.exp(s - m[:, :, None]) / l[:, :, None]
-            dw = g3 @ v3[:, t0:t1].transpose(0, 2, 1)
-            if kind == "none":
-                dpre = dw * lower[:, t0:t1]
-            else:
-                dpre = dw * (((p + off[:, :, None]) > 0) & lower[:, t0:t1])
-            ds = p * (dpre - rho[:, :, None])
-            dq3 += (ds @ k3[:, t0:t1]) * sc
-            dk3[:, t0:t1] += (ds.transpose(0, 2, 1) @ q3) * sc
+        for t0, t1 in tiles:
+            p, w, gate = weight_block(t0, t1)
+            gt = g3[:, t0:]
+            dpre = gt @ v3[:, t0:t1].transpose(0, 2, 1)
+            if gate is not None:  # softmax needs no mask: p is 0 on masked entries
+                dpre *= gate
+            ds = p * (dpre - rho[:, t0:, None])
+            dv3[:, t0:t1] += w.transpose(0, 2, 1) @ gt
+            dq3[:, t0:] += (ds @ k3[:, t0:t1]) * sc
+            dk3[:, t0:t1] += (ds.transpose(0, 2, 1) @ q3[:, t0:]) * sc
             if dbias is not None:
-                dbias += _bias_grad_block(ds.reshape(batch, h, n, t1 - t0).sum(axis=0), window, t0)
+                dbias += _bias_grad_block(ds.reshape(batch, h, n - t0, t1 - t0).sum(axis=0),
+                                          window, t0)
 
         grads = [
             _merge_groups(dq3, batch, h),
@@ -489,8 +521,8 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         ]
         if dbias is not None:
             grads.append(dbias)
-        if dtau_g is not None:
-            grads.append(dtau_g.reshape(batch, h).sum(axis=0).astype(dtype).reshape(tau.shape))
+        if dtau_h is not None:
+            grads.append(dtau_h.astype(dtype).reshape(tau.shape))
         return tuple(grads)
 
     return record_op(out, tuple(inputs), vjp)

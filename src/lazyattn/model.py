@@ -282,12 +282,51 @@ def save_checkpoint(model: TransformerLM, path, *, step: int = 0,
     os.replace(tmp, path)
 
 
+# exact JSON value types accepted per ModelConfig field type (bool is not an int here)
+_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _check_manifest(manifest, path) -> None:
+    """Raise CheckpointError unless the manifest holds what loading reads.
+
+    That is the format tag, a float32/float64 dtype, a config with exactly
+    the ``ModelConfig`` keys at their declared types, and a parameter list
+    of ``{name, shape}`` entries.
+    """
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
+    if manifest.get("format") != _CKPT_FORMAT:
+        raise CheckpointError(f"{path}: unsupported format {manifest.get('format')!r}")
+    if manifest.get("dtype") not in ("float32", "float64"):
+        raise CheckpointError(f"{path}: unsupported dtype {manifest.get('dtype')!r}")
+    cfg = manifest.get("config")
+    if not isinstance(cfg, dict):
+        raise CheckpointError(f"{path}: config is not a JSON object")
+    fields = ModelConfig.__dataclass_fields__
+    unknown, missing = sorted(set(cfg) - set(fields)), sorted(set(fields) - set(cfg))
+    if unknown or missing:
+        raise CheckpointError(f"{path}: config keys unknown {unknown}, missing {missing}")
+    for key, f in fields.items():
+        if type(cfg[key]) not in _CONFIG_TYPES[f.type]:
+            raise CheckpointError(f"{path}: config {key} = {cfg[key]!r} is not a {f.type}")
+    params = manifest.get("params")
+    if not isinstance(params, list):
+        raise CheckpointError(f"{path}: params is not a list")
+    for p in params:
+        shape = p.get("shape") if isinstance(p, dict) else None
+        if not (isinstance(shape, list) and isinstance(p.get("name"), str)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise CheckpointError(f"{path}: params entry {p!r} is not {{name, shape}}")
+
+
 def load_checkpoint(path, *, dtype: str | None = None) -> tuple[TransformerLM, dict]:
     """Rebuild a model from a checkpoint file.
 
     ``dtype`` converts parameters on load; converting 64->32 is lossy (the
     manifest keeps the original precision). Returns (model, manifest).
     """
+    if dtype is not None:
+        core.resolve_dtype(dtype)  # a bad argument raises ValueError, not CheckpointError
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(_CKPT_MAGIC) + 4 or blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
@@ -300,15 +339,16 @@ def load_checkpoint(path, *, dtype: str | None = None) -> tuple[TransformerLM, d
         manifest = json.loads(blob[start:start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable manifest: {exc}") from None
-    if manifest.get("format") != _CKPT_FORMAT:
-        raise CheckpointError(f"{path}: unsupported format {manifest.get('format')!r}")
+    _check_manifest(manifest, path)
 
     saved_dtype = manifest["dtype"]
     wire = np.dtype("<f4" if saved_dtype == "float32" else "<f8")
     cfg_dict = dict(manifest["config"])
     cfg_dict["dtype"] = dtype or saved_dtype
-    cfg = ModelConfig(**cfg_dict)
-    model = TransformerLM(cfg)
+    try:
+        model = TransformerLM(ModelConfig(**cfg_dict))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid config: {exc}") from None
 
     names = [p["name"] for p in manifest["params"]]
     shapes = {p["name"]: tuple(p["shape"]) for p in manifest["params"]}

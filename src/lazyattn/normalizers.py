@@ -3,8 +3,10 @@
 The standard softmax forces every causal row to a probability
 distribution, so mass lands somewhere even when nothing is relevant. The
 rectified-offset variants here relax that: weights are softmax plus an
-offset, clipped at zero, and are NOT renormalized afterwards, so a row may
-sum to anything in [0, 1] and irrelevant rows can vanish entirely.
+offset, clipped at zero, and are NOT renormalized afterwards, so
+irrelevant rows can vanish entirely. The offset tau is unconstrained: with
+tau <= 0 every weight is at most its softmax probability and a row sums
+to at most 1, while tau > 0 lifts every weight and a row can sum above 1.
 
 Row conventions: a causal row for query index i (1-based) holds the i
 scores against keys 1..i. Offset variants:

@@ -333,26 +333,29 @@ def _coerce(value: str, target_type):
 
 
 def build_configs(kv: dict[str, str]) -> tuple[ModelConfig, TrainConfig]:
-    """Split a flat key/value mapping into model and train configurations."""
+    """Split a flat key/value mapping into model and train configurations.
+
+    A key both configurations declare (``seed``) sets both.
+    """
     model_kwargs, train_kwargs = {}, {}
     for key, value in kv.items():
+        targets = []
         if key in _MODEL_KEYS:
-            fields = ModelConfig.__dataclass_fields__
-            target = model_kwargs
-        elif key in _TRAIN_KEYS:
-            fields = TrainConfig.__dataclass_fields__
-            target = train_kwargs
-        else:
+            targets.append((ModelConfig, model_kwargs))
+        if key in _TRAIN_KEYS:
+            targets.append((TrainConfig, train_kwargs))
+        if not targets:
             raise ConfigError(f"unknown config key {key!r}")
-        ftype = fields[key].type
-        if key == "mask_at":
-            target[key] = None if value.lower() in ("none", "") else int(value)
-            continue
-        base = {"int": int, "float": float, "str": str, "bool": bool}.get(ftype, str)
-        try:
-            target[key] = _coerce(value, base)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from None
+        for cls, target in targets:
+            if key == "mask_at":
+                target[key] = None if value.lower() in ("none", "") else int(value)
+                continue
+            ftype = cls.__dataclass_fields__[key].type
+            base = {"int": int, "float": float, "str": str, "bool": bool}.get(ftype, str)
+            try:
+                target[key] = _coerce(value, base)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {exc}") from None
     try:
         return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
     except (TypeError, ValueError) as exc:

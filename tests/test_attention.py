@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazyattn import core
 from lazyattn.attention import (
@@ -245,6 +247,111 @@ def test_two_pass_oversized_tile_allowed():
     a = attend_two_pass(q, k, v, cfg)
     b = attend_naive(q, k, v, cfg)
     assert np.array_equal(a.data, b.data)
+
+
+def attend_with_grads(attend, cfg, arrays, cot, batch, dtype):
+    """Output of ``attend`` and the gradients of sum(output * cot) for every input.
+
+    ``arrays`` maps q, k, v and optionally bias and tau to numpy arrays.
+    """
+    ts = {name: Tensor(a, requires_grad=True, dtype=dtype) for name, a in arrays.items()}
+    with Tape() as tape:
+        out = attend(ts["q"], ts["k"], ts["v"], cfg, bias=ts.get("bias"), tau=ts.get("tau"),
+                     batch=batch)
+        loss = core.sum_all(core.mul(out, Tensor(cot, dtype=dtype)))
+    backward(tape, loss)
+    return out.data, {name: t.grad for name, t in ts.items()}
+
+
+def assert_two_pass_grads_match_naive(cfg, arrays, cot, batch):
+    """At fp64, two-pass output and every input gradient agree with naive; returns the output."""
+    got_out, got = attend_with_grads(attend_two_pass, cfg, arrays, cot, batch, "float64")
+    want_out, want = attend_with_grads(attend_naive, cfg, arrays, cot, batch, "float64")
+    assert np.abs(got_out - want_out).max() < 1e-12
+    for name in arrays:  # atol: an exactly-zero gradient comes back as rounding noise
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-4, atol=1e-10, err_msg=name)
+    return got_out
+
+
+@st.composite
+def attention_cases(draw):
+    """Random shapes, tiles, windows, normalizers and positional modes."""
+    n = draw(st.integers(1, 40))
+    nondivisors = [t for t in range(2, n) if n % t]
+    tile = draw(st.sampled_from([1, n, n + draw(st.integers(1, 8))]
+                                + ([draw(st.sampled_from(nondivisors))] if nondivisors else [])))
+    heads = draw(st.integers(1, 3))
+    positional = draw(st.sampled_from(["rope", "rope_bias", "alibi"]))
+    mode = draw(st.sampled_from(list(MODES)))
+    return dict(n=n, tile=tile, batch=draw(st.integers(1, 3)), heads=heads,
+                positional=positional, mode=mode,
+                window=draw(st.integers(0, max(n - 1, 0))),
+                taus=draw(st.lists(st.floats(-1.5, 0.5), min_size=heads, max_size=heads)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(attention_cases())
+def test_two_pass_matches_naive_on_random_shapes(case):
+    n, batch, heads, dh = case["n"], case["batch"], case["heads"], 4
+    rng = np.random.default_rng(case["seed"])
+    arrays = {name: rng.normal(size=(batch * n, heads * dh)) for name in "qkv"}
+    if case["positional"] == "rope_bias":
+        arrays["bias"] = rng.normal(size=(heads, case["window"] + 1)) * 0.5
+    if MODES[case["mode"]].learns_tau:
+        arrays["tau"] = np.array(case["taus"])
+    cot = rng.normal(size=(batch * n, heads * dh))
+    cfg = make_cfg(case["mode"], heads=heads, dh=dh, positional=case["positional"],
+                   tile=case["tile"])
+
+    ts = {name: Tensor(a, dtype="float32") for name, a in arrays.items()}
+    fwd = [attend(ts["q"], ts["k"], ts["v"], cfg, bias=ts.get("bias"), tau=ts.get("tau"),
+                  batch=batch).data for attend in (attend_two_pass, attend_naive)]
+    assert np.abs(fwd[0] - fwd[1]).max() < 1e-5
+    assert_two_pass_grads_match_naive(cfg, arrays, cot, batch)
+
+
+@pytest.mark.parametrize("mode", ["elastic", "elastic_global"])
+@pytest.mark.parametrize("tau", [-1.0, 0.7])
+def test_two_pass_backward_at_row_dot_corners(mode, tau):
+    """rho_i = dO_i . (O_i - off_i U_i) where rows rectify to zero and where tau > 0.
+
+    Zeroed query rows give uniform scores; with per-query tau = -1 those
+    rows rectify entirely to zero. With tau > 0 every causal entry is active
+    and the rows sum above 1.
+    """
+    rng = np.random.default_rng(20)
+    n, heads, dh, batch = 19, 2, 4, 2
+    arrays = {name: rng.normal(size=(batch * n, heads * dh)) for name in "qkv"}
+    arrays["q"][::2] = 0.0
+    arrays["tau"] = np.full(heads, tau)
+    cot = rng.normal(size=(batch * n, heads * dh))
+    cfg = make_cfg(mode, heads=heads, dh=dh, positional="rope", tile=4)
+    out = assert_two_pass_grads_match_naive(cfg, arrays, cot, batch)
+    if mode == "elastic" and tau == -1.0:
+        assert np.all(out[::2] == 0.0) and np.any(out[1::2] != 0.0)
+
+
+def test_two_pass_saves_value_sum_only_under_tape():
+    """Peak auxiliary bytes: the block and row-state formula, plus U only when taped."""
+    rng = np.random.default_rng(21)
+    n, heads, dh, batch, tile = 96, 2, 8, 2, 16
+    g, isz = batch * heads, 4
+    q, k, v = rand_qkv(rng, batch * n, heads * dh, dtype="float32", grad=True)
+    tau = Tensor(np.array([-1.0, -0.5]), requires_grad=True, dtype="float32")
+    cfg = make_cfg("elastic", heads=heads, dh=dh, tile=tile)
+    pass1 = 2 * g * n * tile + 4 * g * n  # score and exp blocks; max, new max, m, l
+    pass2 = 3 * g * n * tile + 2 * g * n + g * n * dh  # score, prob, weight blocks; m, l, O
+    without_u = max(pass1, pass2) * isz
+
+    meter = AllocationMeter()
+    attend_two_pass(q, k, v, cfg, tau=tau, batch=batch, meter=meter)
+    assert meter.peak == without_u
+
+    meter = AllocationMeter()
+    with Tape():
+        attend_two_pass(q, k, v, cfg, tau=tau, batch=batch, meter=meter)
+    assert meter.peak == without_u + g * n * dh * isz
 
 
 def make_layer(rng, d, heads, window, dtype="float64"):

@@ -1,6 +1,8 @@
 """Model assembly, causality, determinism, checkpoints, ablation identities."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -176,7 +178,7 @@ def test_checkpoint_truncation_detected(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(model, path)
     blob = path.read_bytes()
-    for cut in (4, len(blob) // 2, len(blob) - 3):
+    for cut in [*range(0, len(blob), 97), len(blob) // 2, len(blob) - 3, len(blob) - 1]:
         bad = tmp_path / f"cut{cut}.bin"
         bad.write_bytes(blob[:cut])
         with pytest.raises(CheckpointError):
@@ -188,6 +190,90 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _rewrite_manifest(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit(manifest)`` as its manifest."""
+    blob = src.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    header = json.dumps(edit(json.loads(blob[12:12 + hlen]))).encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + hlen:])
+
+
+def _set(path, value):
+    """Manifest edit that sets (or, for value None, deletes) one nested field."""
+    def edit(m):
+        node = m
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return m
+    return edit
+
+
+MANIFEST_CORRUPTIONS = {
+    "not an object": lambda m: [m],
+    "format missing": _set(["format"], None),
+    "dtype missing": _set(["dtype"], None),
+    "dtype float16": _set(["dtype"], "float16"),
+    "config not an object": _set(["config"], [1, 2]),
+    "config unknown key": _set(["config", "extra"], 1),
+    "config missing key": _set(["config", "n_heads"], None),
+    "config int as string": _set(["config", "n_layers"], "2"),
+    "config int as bool": _set(["config", "n_layers"], True),
+    "config bool as int": _set(["config", "freeze_tau"], 0),
+    "config float as string": _set(["config", "rope_base"], "1e4"),
+    "config invalid value": _set(["config", "d_model"], 15),
+    "config unknown normalizer": _set(["config", "normalizer"], "entmax"),
+    "params not a list": _set(["params"], {"embed": [257, 16]}),
+    "params entry not an object": _set(["params", 0], "embed"),
+    "params entry without shape": _set(["params", 0, "shape"], None),
+    "params entry without name": _set(["params", 0, "name"], None),
+    "params shape not ints": _set(["params", 0, "shape"], ["257", 16]),
+    "params shape negative": _set(["params", 0, "shape"], [-257, 16]),
+    "params renamed": _set(["params", 0, "name"], "embedding"),
+}
+
+
+@pytest.mark.parametrize("corruption", list(MANIFEST_CORRUPTIONS))
+def test_checkpoint_corrupt_manifest_field_rejected(tmp_path, corruption):
+    path = tmp_path / "model.bin"
+    save_checkpoint(tiny_model(seed=12), path)
+    bad = tmp_path / "bad.bin"
+    _rewrite_manifest(path, bad, MANIFEST_CORRUPTIONS[corruption])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_random_header_bytes_load_or_raise_checkpoint_error(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(tiny_model(seed=12), path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    rng = np.random.default_rng(22)
+    bad = tmp_path / "bad.bin"
+    for _ in range(150):
+        mutated = bytearray(blob)
+        mutated[12 + int(rng.integers(hlen))] = int(rng.integers(256))
+        bad.write_bytes(bytes(mutated))
+        try:
+            load_checkpoint(bad)
+        except CheckpointError:
+            pass
+
+
+def test_cli_reports_corrupt_manifest_with_exit_code_2(tmp_path, capsys):
+    from lazyattn.cli import main
+
+    path = tmp_path / "model.bin"
+    save_checkpoint(tiny_model(seed=12), path)
+    bad = tmp_path / "bad.bin"
+    _rewrite_manifest(path, bad, MANIFEST_CORRUPTIONS["config unknown key"])
+    assert main(["export-offsets", "--checkpoint", str(bad), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_checkpoint_cross_precision_load(tmp_path):

@@ -115,10 +115,17 @@ def test_sparsemax_is_distribution_and_idempotent(scores):
 @given(st.lists(finite_floats, min_size=1, max_size=12),
        st.floats(min_value=-2.0, max_value=0.0))
 def test_elastic_row_bounds_for_nonpositive_tau(scores, tau):
+    """Both offset rows are nonnegative and sum to at most 1 when tau <= 0."""
     i = len(scores)
-    row = elastic_row(np.array(scores), i, tau)
-    assert np.all(row >= 0.0) and np.all(row <= 1.0)
-    assert row.sum() <= 1.0 + 1e-6
+    for row in (elastic_row(np.array(scores), i, tau), global_offset_row(np.array(scores), tau)):
+        assert np.all(row >= 0.0) and np.all(row <= 1.0)
+        assert row.sum() <= 1.0 + 1e-6
+
+
+def test_positive_tau_rows_can_sum_above_one():
+    scores = np.zeros(4)
+    assert elastic_row(scores, 4, 0.5).sum() == pytest.approx(1.5)
+    assert global_offset_row(scores, 0.5).sum() == pytest.approx(3.0)
 
 
 def test_elastic_weights_gradient_away_from_kink():

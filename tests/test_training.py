@@ -206,6 +206,14 @@ def test_parse_config_file(tmp_path):
     assert tc.mask_at is None
 
 
+def test_config_file_seed_reaches_model_and_training(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("seed = 7\nsteps = 40\n")
+    mc, tc = build_configs(parse_config_file(p))
+    assert mc.seed == 7 and tc.seed == 7
+    assert tc.steps == 40
+
+
 def test_parse_config_rejects_bad_lines(tmp_path):
     bad1 = tmp_path / "bad1.cfg"
     bad1.write_text("steps 40\n")
