@@ -31,7 +31,6 @@ from .positional import (
     alibi_bias,
     alibi_slope,
     apply_rope,
-    bias_lookup,
     rope_freq,
 )
 from .normalizers import (

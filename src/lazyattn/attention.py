@@ -15,6 +15,11 @@ without a sweep of its own, so it replays the tiles once, recomputing
 block weights from the saved statistics instead of storing the full
 matrix.
 
+Both paths, and ``scores``, read position biases through one helper: a
+learned table or the fixed ALiBi decay becomes a distance table, looked
+up through a cached distance index per tile (the naive path's tile is the
+whole square), and score gradients fold back through the same index.
+
 Sparsemax needs globally sorted rows, which does not stream; it is
 supported on the naive path only.
 
@@ -32,13 +37,7 @@ import numpy as np
 
 from .core import ShapeError, Tensor, is_recording, matmul, record_op
 from .normalizers import NormalizerMode, sparsemax_row, sparsemax_vjp
-from .positional import (
-    RopeConfig,
-    alibi_matrix,
-    apply_rope,
-    distance_bias_grad,
-    distance_bias_matrix,
-)
+from .positional import RopeConfig, alibi_slope, apply_rope
 
 
 @dataclass
@@ -49,10 +48,8 @@ class AttentionConfig:
     head_dim: int
     positional: str = "rope_bias"  # "rope" | "rope_bias" | "alibi"
     normalizer: NormalizerMode = NormalizerMode.ELASTIC_PER_QUERY
-    tau_init: float = -1.0
     tile: int = 64
     path: str = "naive"  # "naive" | "two_pass"
-    capture: bool = False
 
     def __post_init__(self):
         self.normalizer = NormalizerMode.parse(self.normalizer)
@@ -64,6 +61,8 @@ class AttentionConfig:
             raise ValueError(f"unknown positional mode {self.positional!r}")
         if self.path not in ("naive", "two_pass"):
             raise ValueError(f"unknown attention path {self.path!r}")
+        if self.path == "two_pass" and self.normalizer is NormalizerMode.SPARSEMAX:
+            raise ValueError("sparsemax needs globally sorted rows; use the naive path")
 
     @property
     def d_model(self) -> int:
@@ -78,9 +77,6 @@ class CaptureBuffer:
 
     def add(self, weights: np.ndarray) -> None:
         self.layers.append(weights.astype(np.float32, copy=False))
-
-    def clear(self) -> None:
-        self.layers.clear()
 
 
 class AllocationMeter:
@@ -146,15 +142,34 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, batch: 
     return n
 
 
-def _resolve_bias(bias: Tensor | None, config: AttentionConfig) -> tuple[np.ndarray | None, int]:
+def _distance_table(tb: np.ndarray) -> tuple[np.ndarray, int]:
+    """(H, window+1) distance biases -> (H, window+2) table and window.
+
+    The appended zero column is the sentinel that ``_tile_distances`` sends
+    every distance outside [0, window] to.
+    """
+    sentinel = np.zeros((tb.shape[0], 1), dtype=tb.dtype)
+    return np.concatenate([tb, sentinel], axis=1), tb.shape[1] - 1
+
+
+def _resolve_bias(bias: Tensor | None, config: AttentionConfig, n: int,
+                  dtype) -> tuple[np.ndarray | None, int]:
+    """Distance table of the positional mode (see ``_distance_table``), or (None, 0).
+
+    ALiBi is the fixed table -slope_h * d over the n distances of a
+    length-n sequence; otherwise the table is ``bias``, if given.
+    """
+    if bias is not None:
+        tb = bias.data.reshape(1, -1) if bias.ndim == 1 else bias.data
+        if tb.ndim != 2 or tb.shape[0] != config.n_heads:
+            raise ShapeError(f"bias table must be ({config.n_heads}, window+1), got {bias.shape}")
+    if config.positional == "alibi":
+        slopes = np.array([alibi_slope(hd, config.n_heads) for hd in range(config.n_heads)],
+                          dtype=dtype)
+        return _distance_table(-slopes[:, None] * np.arange(n, dtype=dtype))
     if bias is None:
         return None, 0
-    tb = bias.data
-    if tb.ndim == 1:
-        tb = tb.reshape(1, -1)
-    if tb.ndim != 2 or tb.shape[0] != config.n_heads:
-        raise ShapeError(f"bias table must be ({config.n_heads}, window+1), got {bias.shape}")
-    return tb, tb.shape[1] - 1
+    return _distance_table(tb.astype(dtype, copy=False))
 
 
 def _resolve_tau(tau: Tensor | None, config: AttentionConfig, batch: int) -> np.ndarray | None:
@@ -168,14 +183,58 @@ def _resolve_tau(tau: Tensor | None, config: AttentionConfig, batch: int) -> np.
     return np.tile(td, batch)  # group g = b * H + h
 
 
-def _score_bias(config: AttentionConfig, bias_table: np.ndarray | None, window: int,
-                n: int, dtype) -> np.ndarray | None:
-    """Full (H, n, n) additive score bias for the configured positional mode."""
-    if config.positional == "alibi":
-        return alibi_matrix(config.n_heads, n, dtype)
-    if bias_table is not None:
-        return distance_bias_matrix(bias_table.astype(dtype, copy=False), n, window)
-    return None
+@functools.lru_cache(maxsize=128)
+def _tile_distances(n: int, t0: int, t1: int, window: int) -> np.ndarray:
+    """Read-only distance index for query rows [t0, n) against key columns [t0, t1).
+
+    Entry (i, j) is the distance i - j, or the sentinel ``window + 1`` when
+    it lies outside [0, window] (the validity mask, folded into the index).
+    """
+    d = np.arange(t0, n)[:, None] - np.arange(t0, t1)[None, :]
+    idx = np.where((d >= 0) & (d <= window), d, window + 1)
+    idx.setflags(write=False)
+    return idx
+
+
+def _bias_block(table: np.ndarray, window: int, n: int, t0: int, t1: int) -> np.ndarray:
+    """(H, n-t0, t1-t0) additive score bias for query rows [t0, n), keys [t0, t1).
+
+    ``table`` comes from ``_distance_table``; the naive path and ``scores``
+    take the whole square as one tile (t0 = 0, t1 = n).
+    """
+    return np.take(table, _tile_distances(n, t0, t1, window), axis=1)
+
+
+def _bias_grad_block(g_h: np.ndarray, window: int, t0: int) -> np.ndarray:
+    """Fold (H, n-t0, T) score grads for rows [t0, n), keys [t0, t0+T) onto the table."""
+    h, rows, t = g_h.shape
+    idx = _tile_distances(t0 + rows, t0, t0 + t, window).reshape(-1)
+    out = np.empty((h, window + 1), dtype=g_h.dtype)
+    for hi in range(h):
+        out[hi] = np.bincount(idx, weights=g_h[hi].reshape(-1), minlength=window + 2)[:-1]
+    return out
+
+
+def _tape_inputs(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, tau: Tensor | None,
+                 config: AttentionConfig) -> tuple[Tensor, ...]:
+    """What an attention op differentiates: q, k, v, then a learned bias table and tau."""
+    inputs = [q, k, v]
+    if bias is not None and config.positional == "rope_bias":
+        inputs.append(bias)
+    if tau is not None and config.normalizer.learns_tau:
+        inputs.append(tau)
+    return tuple(inputs)
+
+
+def _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau: Tensor | None, batch: int,
+                n_heads: int) -> tuple:
+    """Gradients in ``_tape_inputs`` order, with q, k, v back in flat layout."""
+    grads = [_merge_groups(x, batch, n_heads) for x in (dq3, dk3, dv3)]
+    if dbias is not None:
+        grads.append(dbias)
+    if dtau_h is not None:
+        grads.append(dtau_h.astype(dq3.dtype).reshape(tau.shape))
+    return tuple(grads)
 
 
 def scores(q: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -192,12 +251,11 @@ def scores(q: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
     sc = 1.0 / math.sqrt(dh)
     lower = _lower_mask(n)
     s = (q.data @ k.data.T) * sc
-    window = -1
     if bias is not None:
         if bias.ndim != 1:
             raise ShapeError("scores: bias must be a 1-D distance table")
-        window = bias.shape[0] - 1
-        s = s + distance_bias_matrix(bias.data[None], n, window)[0]
+        table, window = _distance_table(bias.data[None])
+        s = s + _bias_block(table, window, n, 0, n)[0]
     s = np.where(lower, s, 0.0)
     inputs = (q, k) if bias is None else (q, k, bias)
     out = Tensor(s, requires_grad=any(t.requires_grad for t in inputs))
@@ -208,7 +266,7 @@ def scores(q: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
         dk = (gm.T @ q.data) * sc
         if bias is None:
             return dq, dk
-        return dq, dk, distance_bias_grad(gm[None], window)[0]
+        return dq, dk, _bias_grad_block(gm[None], window, 0)[0]
 
     return record_op(out, inputs, vjp)
 
@@ -252,7 +310,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     dtype = q.data.dtype
     sc = 1.0 / math.sqrt(dh)
     kind = config.normalizer.offset_kind
-    bias_table, window = _resolve_bias(bias, config)
+    table, window = _resolve_bias(bias, config, n, dtype)
     tau_g = _resolve_tau(tau, config, batch)
     lower = _lower_mask(n)
 
@@ -262,26 +320,18 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
 
     s = q3 @ k3.transpose(0, 2, 1)
     s *= sc
-    sb = _score_bias(config, bias_table, window, n, dtype)
-    if sb is not None:
-        s.reshape(batch, h, n, n)[...] += sb[None]
+    if table is not None:
+        s.reshape(batch, h, n, n)[...] += _bias_block(table, window, n, 0, n)[None]
     s_masked = np.where(lower, s, -np.inf)
     off = _row_offsets(kind, tau_g, n, dtype)
     w, p, gate = _normalize_full(s_masked, s, kind, off, lower)
-    out3 = w @ v3
-    out = Tensor(_merge_groups(out3, batch, h),
-                 requires_grad=any(t.requires_grad for t in (q, k, v))
-                 or (bias is not None and bias.requires_grad)
-                 or (tau is not None and tau.requires_grad))
+    inputs = _tape_inputs(q, k, v, bias, tau, config)
+    out = Tensor(_merge_groups(w @ v3, batch, h),
+                 requires_grad=any(t.requires_grad for t in inputs))
 
     if capture is not None:
         capture.add(w.reshape(batch, h, n, n))
 
-    inputs = [q, k, v]
-    if bias is not None and config.positional == "rope_bias":
-        inputs.append(bias)
-    if tau_g is not None:
-        inputs.append(tau)
     learn_bias = bias is not None and config.positional == "rope_bias"
     rows1 = np.arange(1, n + 1, dtype=dtype)
 
@@ -310,60 +360,12 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
             ds = p * (dpre - rho)
         dq3 = (ds @ k3) * sc
         dk3 = (ds.transpose(0, 2, 1) @ q3) * sc
-        grads = [
-            _merge_groups(dq3, batch, h),
-            _merge_groups(dk3, batch, h),
-            _merge_groups(dv3, batch, h),
-        ]
+        dbias = None
         if learn_bias:
-            ds_h = ds.reshape(batch, h, n, n).sum(axis=0)
-            grads.append(distance_bias_grad(ds_h, window))
-        if dtau_h is not None:
-            grads.append(dtau_h.astype(dtype).reshape(tau.shape))
-        return tuple(grads)
+            dbias = _bias_grad_block(ds.reshape(batch, h, n, n).sum(axis=0), window, 0)
+        return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau, batch, h)
 
-    return record_op(out, tuple(inputs), vjp)
-
-
-@functools.lru_cache(maxsize=128)
-def _tile_distances(n: int, t0: int, t1: int, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distance index for query rows [t0, n) against key columns [t0, t1).
-
-    Returns read-only (d, idx): the distances i - j, and the same distances
-    with every entry outside [0, window] sent to the sentinel ``window + 1``
-    (the validity mask, folded into the index).
-    """
-    d = np.arange(t0, n)[:, None] - np.arange(t0, t1)[None, :]
-    idx = np.where((d >= 0) & (d <= window), d, window + 1)
-    d.setflags(write=False)
-    idx.setflags(write=False)
-    return d, idx
-
-
-def _bias_block(table: np.ndarray | None, config: AttentionConfig, window: int,
-                n: int, t0: int, t1: int, dtype) -> np.ndarray | None:
-    """(H, n-t0, t1-t0) additive score bias for query rows [t0, n), keys [t0, t1).
-
-    ``table`` is the (H, window+2) distance table with a zero sentinel
-    column appended.
-    """
-    if config.positional == "alibi":
-        d = np.abs(_tile_distances(n, t0, t1, window)[0]).astype(dtype)
-        slopes = 2.0 ** (-8.0 * (np.arange(config.n_heads) + 1) / config.n_heads)
-        return -slopes[:, None, None].astype(dtype) * d[None]
-    if table is None:
-        return None
-    return np.take(table, _tile_distances(n, t0, t1, window)[1], axis=1)
-
-
-def _bias_grad_block(g_h: np.ndarray, window: int, t0: int) -> np.ndarray:
-    """Fold (H, n-t0, T) score grads for rows [t0, n), keys [t0, t0+T) onto the table."""
-    h, rows, t = g_h.shape
-    idx = _tile_distances(t0 + rows, t0, t0 + t, window)[1].reshape(-1)
-    out = np.empty((h, window + 1), dtype=g_h.dtype)
-    for hi in range(h):
-        out[hi] = np.bincount(idx, weights=g_h[hi].reshape(-1), minlength=window + 2)[:-1]
-    return out
+    return record_op(out, inputs, vjp)
 
 
 def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
@@ -398,10 +400,7 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     sc = 1.0 / math.sqrt(dh)
     tile = min(config.tile, n)
 
-    bias_table, window = _resolve_bias(bias, config)
-    if bias_table is not None:
-        bias_table = np.concatenate([bias_table.astype(dtype, copy=False),
-                                     np.zeros((h, 1), dtype=dtype)], axis=1)
+    table, window = _resolve_bias(bias, config, n, dtype)
     tau_g = _resolve_tau(tau, config, batch)
     off = _row_offsets(kind, tau_g, n, dtype)
 
@@ -414,9 +413,8 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     def score_block(t0: int, t1: int) -> np.ndarray:
         s = q3[:, t0:] @ k3[:, t0:t1].transpose(0, 2, 1)
         s *= sc
-        blk = _bias_block(bias_table, config, window, n, t0, t1, dtype)
-        if blk is not None:
-            s.reshape(batch, h, n - t0, t1 - t0)[...] += blk[None]
+        if table is not None:
+            s.reshape(batch, h, n - t0, t1 - t0)[...] += _bias_block(table, window, n, t0, t1)[None]
         np.copyto(s[:, : t1 - t0], -np.inf, where=~_lower_mask(t1 - t0))
         return s
 
@@ -448,19 +446,13 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         if meter is not None:
             meter.observe(s.nbytes + e.nbytes + bm.nbytes + nm.nbytes + m.nbytes + l.nbytes)
 
-    inputs = [q, k, v]
+    inputs = _tape_inputs(q, k, v, bias, tau, config)
     learn_bias = bias is not None and config.positional == "rope_bias"
-    if learn_bias:
-        inputs.append(bias)
-    if tau_g is not None:
-        inputs.append(tau)
-    extras = [t for t in (bias, tau) if t is not None]
-    requires_grad = any(t.requires_grad for t in (q, k, v, *extras))
 
     # Pass 2: offset + rectifier, weighted value sum, and U for the backward.
     out3 = np.zeros((groups, n, dh), dtype=dtype)
     u3 = None
-    if kind != "none" and is_recording(q, k, v, *extras):
+    if kind != "none" and is_recording(*inputs):
         u3 = np.zeros_like(out3)
     cap = None
     if capture is not None:
@@ -477,7 +469,8 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
             meter.observe(3 * p.nbytes + m.nbytes + l.nbytes + out3.nbytes
                           + (0 if u3 is None else u3.nbytes))
 
-    out = Tensor(_merge_groups(out3, batch, h), requires_grad=requires_grad)
+    out = Tensor(_merge_groups(out3, batch, h),
+                 requires_grad=any(t.requires_grad for t in inputs))
     if cap is not None:
         capture.add(cap.reshape(batch, h, n, n))
 
@@ -514,18 +507,9 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
                 dbias += _bias_grad_block(ds.reshape(batch, h, n - t0, t1 - t0).sum(axis=0),
                                           window, t0)
 
-        grads = [
-            _merge_groups(dq3, batch, h),
-            _merge_groups(dk3, batch, h),
-            _merge_groups(dv3, batch, h),
-        ]
-        if dbias is not None:
-            grads.append(dbias)
-        if dtau_h is not None:
-            grads.append(dtau_h.astype(dtype).reshape(tau.shape))
-        return tuple(grads)
+        return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau, batch, h)
 
-    return record_op(out, tuple(inputs), vjp)
+    return record_op(out, inputs, vjp)
 
 
 @dataclass

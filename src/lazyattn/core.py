@@ -79,9 +79,6 @@ class Tensor:
             raise ValueError("item() requires a single-element tensor")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
@@ -421,10 +418,3 @@ def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements (scalar tensor)."""
     out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), requires_grad=x.requires_grad)
     return record_op(out, (x,), lambda g: (np.full_like(x.data, float(g)),))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    """Mean of all elements (scalar tensor)."""
-    n = x.size
-    out = Tensor(np.asarray(x.data.mean(), dtype=x.data.dtype), requires_grad=x.requires_grad)
-    return record_op(out, (x,), lambda g: (np.full_like(x.data, float(g) / n),))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class AttnStats:
     per_head: dict[tuple[int, int], tuple[float, float]]
     density_pct: float
     sink_pct: float
-    position_stats: list[dict] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

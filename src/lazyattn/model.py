@@ -72,11 +72,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.n_ctx < 2:
             raise ValueError("n_ctx must be >= 2")
-        NormalizerMode.parse(self.normalizer)
+        self.attention()  # the attention and rope configs check the rest
+        self.rope()
 
     @property
     def head_dim(self) -> int:
@@ -97,7 +100,6 @@ class ModelConfig:
             head_dim=self.head_dim,
             positional=self.positional,
             normalizer=NormalizerMode.parse(self.normalizer),
-            tau_init=self.tau_init,
             tile=self.tile,
             path=self.attention_path,
         )

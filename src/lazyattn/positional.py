@@ -3,7 +3,9 @@
 Two complementary mechanisms: dimension-wise rotary embedding (feature
 pairs rotated at geometric frequencies) and a head-wise learnable bias
 over relative distance, zero beyond a local window. A fixed-slope linear
-decay (ALiBi style) is kept as a non-learnable comparison mode.
+decay (ALiBi style) is kept as a non-learnable comparison mode. The
+attention module turns the bias table and the ALiBi slopes into score
+biases.
 """
 
 from __future__ import annotations
@@ -119,41 +121,12 @@ class BiasTable:
                     yield layer, head, dist, float(t.data[head, dist])
 
 
-def bias_lookup(table: BiasTable, layer: int, head: int, dist: int) -> float:
-    """Distance-bias value for one (layer, head); 0 beyond the window."""
-    return table.lookup(layer, head, dist)
-
-
 def write_bias_csv(table: BiasTable, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["layer", "head", "distance", "bias"])
         for row in table.rows():
             w.writerow([row[0], row[1], row[2], repr(row[3])])
-
-
-def distance_bias_matrix(table: np.ndarray, n: int, window: int) -> np.ndarray:
-    """Expand an (H, window+1) table into per-head (H, n, n) score biases.
-
-    Entry [h, i, j] is table[h, i-j] for 0 <= i-j <= window and 0 otherwise;
-    only the causal lower triangle is ever nonzero.
-    """
-    d = np.arange(n)[:, None] - np.arange(n)[None, :]
-    valid = (d >= 0) & (d <= window)
-    idx = np.where(valid, d, 0)
-    return table[:, idx] * valid
-
-
-def distance_bias_grad(g: np.ndarray, window: int) -> np.ndarray:
-    """Fold per-head (H, n, n) score gradients back onto the (H, window+1) table."""
-    h, n, _ = g.shape
-    d = np.arange(n)[:, None] - np.arange(n)[None, :]
-    valid = (d >= 0) & (d <= window)
-    dist = d[valid]
-    out = np.empty((h, window + 1), dtype=g.dtype)
-    for hi in range(h):
-        out[hi] = np.bincount(dist, weights=g[hi][valid], minlength=window + 1)
-    return out
 
 
 def alibi_slope(head: int, n_heads: int) -> float:
@@ -168,10 +141,3 @@ def alibi_bias(head: int, n_heads: int, dist: int) -> float:
     if dist < 0:
         raise ValueError("distance must be non-negative")
     return -alibi_slope(head, n_heads) * dist
-
-
-def alibi_matrix(n_heads: int, n: int, dtype=np.float64) -> np.ndarray:
-    """Per-head (H, n, n) fixed decay biases -slope_h * |i-j|."""
-    d = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(dtype)
-    slopes = np.array([alibi_slope(h, n_heads) for h in range(n_heads)], dtype=dtype)
-    return -slopes[:, None, None] * d[None]

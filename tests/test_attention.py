@@ -20,7 +20,7 @@ from lazyattn.attention import (
 )
 from lazyattn.core import Tape, Tensor, backward
 from lazyattn.normalizers import NormalizerMode
-from lazyattn.positional import RopeConfig, apply_rope
+from lazyattn.positional import RopeConfig, alibi_bias, apply_rope
 
 from oracles import attention_scalar_loop, check_grads, rel_err
 
@@ -309,6 +309,22 @@ def test_two_pass_matches_naive_on_random_shapes(case):
                   batch=batch).data for attend in (attend_two_pass, attend_naive)]
     assert np.abs(fwd[0] - fwd[1]).max() < 1e-5
     assert_two_pass_grads_match_naive(cfg, arrays, cot, batch)
+    if heads == 1 and n <= 8:  # the shared bias code, against an independent reference
+        bias_vec, window = None, 0
+        if case["positional"] == "rope_bias":
+            bias_vec, window = arrays["bias"][0], case["window"]
+        elif case["positional"] == "alibi":
+            bias_vec, window = [alibi_bias(0, 1, d) for d in range(n)], n
+        ts = {name: Tensor(a, dtype="float64") for name, a in arrays.items()}
+        out = attend_naive(ts["q"], ts["k"], ts["v"], cfg, bias=ts.get("bias"),
+                           tau=ts.get("tau"), batch=batch).data
+        kind = MODES[case["mode"]].offset_kind
+        for b in range(batch):
+            rows = slice(b * n, (b + 1) * n)
+            want, _ = attention_scalar_loop(arrays["q"][rows], arrays["k"][rows],
+                                            arrays["v"][rows], bias_vec=bias_vec, window=window,
+                                            tau=case["taus"][0], kind=kind)
+            assert np.abs(out[rows] - want).max() < 1e-10
 
 
 @pytest.mark.parametrize("mode", ["elastic", "elastic_global"])
@@ -431,10 +447,6 @@ def test_alibi_mode_uses_fixed_decay_and_no_rope():
     cfg = make_cfg("softmax", positional="alibi")
     cap = CaptureBuffer()
     attend_naive(q, k, v, cfg, capture=cap)
-    from lazyattn.positional import alibi_matrix
-
-    s = q.data @ k.data.T / math.sqrt(dh) + alibi_matrix(1, n)[0]
-    lower = np.tril(np.ones((n, n), dtype=bool))
-    e = np.exp(np.where(lower, s, -np.inf) - np.where(lower, s, -np.inf).max(-1, keepdims=True))
-    want = e / e.sum(-1, keepdims=True)
+    _, want = attention_scalar_loop(q.data, k.data, v.data,
+                                    bias_vec=[alibi_bias(0, 1, d) for d in range(n)], window=n)
     assert np.abs(cap.layers[0][0, 0] - want).max() < 1e-6

@@ -38,6 +38,13 @@ def test_config_validation():
         ModelConfig(n_ctx=1)
     with pytest.raises(ValueError):
         ModelConfig(normalizer="bogus")
+    with pytest.raises(ValueError):
+        ModelConfig(n_heads=0)
+    with pytest.raises(ValueError):
+        ModelConfig(positional="bogus")
+    with pytest.raises(ValueError):
+        ModelConfig(normalizer="sparsemax", attention_path="two_pass")
+    ModelConfig(normalizer="sparsemax")  # the naive path supports it
 
 
 def test_vocab_size_extends_by_one_for_mask():
@@ -227,6 +234,7 @@ MANIFEST_CORRUPTIONS = {
     "config bool as int": _set(["config", "freeze_tau"], 0),
     "config float as string": _set(["config", "rope_base"], "1e4"),
     "config invalid value": _set(["config", "d_model"], 15),
+    "config zero heads": _set(["config", "n_heads"], 0),
     "config unknown normalizer": _set(["config", "normalizer"], "entmax"),
     "params not a list": _set(["params"], {"embed": [257, 16]}),
     "params entry not an object": _set(["params", 0], "embed"),
@@ -271,9 +279,12 @@ def test_cli_reports_corrupt_manifest_with_exit_code_2(tmp_path, capsys):
     path = tmp_path / "model.bin"
     save_checkpoint(tiny_model(seed=12), path)
     bad = tmp_path / "bad.bin"
-    _rewrite_manifest(path, bad, MANIFEST_CORRUPTIONS["config unknown key"])
-    assert main(["export-offsets", "--checkpoint", str(bad), "--out", str(tmp_path / "t.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    for corruption in ("config unknown key", "config zero heads"):
+        _rewrite_manifest(path, bad, MANIFEST_CORRUPTIONS[corruption])
+        out = tmp_path / "t.csv"
+        assert main(["export-offsets", "--checkpoint", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 def test_checkpoint_cross_precision_load(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lazyattn import core
+from lazyattn.attention import _bias_block, _bias_grad_block, _distance_table
 from lazyattn.core import Tape, Tensor, backward
 from lazyattn.positional import (
     BiasTable,
@@ -13,9 +14,6 @@ from lazyattn.positional import (
     alibi_bias,
     alibi_slope,
     apply_rope,
-    bias_lookup,
-    distance_bias_grad,
-    distance_bias_matrix,
     rope_freq,
 )
 from lazyattn.training import AdamW
@@ -114,33 +112,39 @@ def test_apply_rope_gradient():
 
 def test_bias_lookup_window_and_init():
     table = BiasTable(n_layers=2, n_heads=3, window=5)
-    assert bias_lookup(table, 0, 0, 6) == 0.0  # outside the window
-    assert all(bias_lookup(table, l, h, d) == 0.0
+    assert table.lookup(0, 0, 6) == 0.0  # outside the window
+    assert all(table.lookup(l, h, d) == 0.0
                for l in range(2) for h in range(3) for d in range(6))
     table.tables[1].data[2, 4] = -0.25
-    assert bias_lookup(table, 1, 2, 4) == -0.25
+    assert table.lookup(1, 2, 4) == -0.25
     with pytest.raises(ValueError):
-        bias_lookup(table, 0, 0, -1)
+        table.lookup(0, 0, -1)
 
 
 def test_distance_bias_matrix_and_grad_roundtrip():
+    """The attention paths' bias block and its gradient fold, against scalar loops."""
     rng = np.random.default_rng(4)
-    table = rng.normal(size=(2, 4))  # window 3
-    m = distance_bias_matrix(table, n=6, window=3)
-    assert m.shape == (2, 6, 6)
-    assert m[0, 2, 2] == table[0, 0]
-    assert m[1, 5, 2] == table[1, 3]
-    assert m[0, 5, 0] == 0.0  # distance 5 > window
-    assert np.all(m[:, 0, 1:] == 0.0)  # upper triangle
-    g = rng.normal(size=(2, 6, 6))
-    folded = distance_bias_grad(g, window=3)
-    want = np.zeros((2, 4))
-    for h in range(2):
-        for i in range(6):
-            for j in range(i + 1):
-                if i - j <= 3:
-                    want[h, i - j] += g[h, i, j]
-    assert np.allclose(folded, want)
+    biases = rng.normal(size=(2, 4))
+    table, window = _distance_table(biases)
+    assert window == 3
+    for n, t0, t1 in [(6, 0, 6), (9, 3, 7)]:  # the whole square; one tile (window < n)
+        m = _bias_block(table, window, n, t0, t1)
+        want = np.zeros((2, n - t0, t1 - t0))
+        for h in range(2):
+            for i in range(t0, n):
+                for j in range(t0, t1):
+                    if 0 <= i - j <= window:
+                        want[h, i - t0, j - t0] = biases[h, i - j]
+        assert np.array_equal(m, want)  # 0 above the diagonal and beyond the window
+        g = rng.normal(size=m.shape)
+        folded = _bias_grad_block(g, window, t0)
+        want = np.zeros((2, window + 1))
+        for h in range(2):
+            for i in range(t0, n):
+                for j in range(t0, min(i + 1, t1)):
+                    if i - j <= window:
+                        want[h, i - j] += g[h, i - t0, j - t0]
+        assert np.allclose(folded, want)
 
 
 def test_bias_gradient_only_at_realized_distances():
@@ -180,7 +184,4 @@ def test_alibi_values():
 
 
 def test_alibi_unit_slope_formula():
-    # -m * dist with m = 1 gives -3 at distance 3
-    m = 1.0
-    assert -m * 3 == -3.0
     assert math.isclose(alibi_bias(1, 8, 3) / alibi_slope(1, 8), -3.0, rel_tol=1e-12)

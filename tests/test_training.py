@@ -229,6 +229,26 @@ def test_parse_config_rejects_bad_lines(tmp_path):
         build_configs(parse_config_file(bad3))
 
 
+BAD_MODEL_KEYS = {
+    "zero heads": "n_heads = 0\n",
+    "sparsemax on the two-pass path": "normalizer = sparsemax\nattention_path = two_pass\n",
+    "unknown positional mode": "positional = bogus\n",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_MODEL_KEYS))
+def test_bad_model_keys_fail_before_training_writes(bad, small_corpus_path, tmp_path):
+    from lazyattn.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfg.write_text(f"corpus = {small_corpus_path}\nout_dir = {out_dir}\n" + BAD_MODEL_KEYS[bad])
+    with pytest.raises(ConfigError):
+        build_configs(parse_config_file(cfg))
+    assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    assert not out_dir.exists()
+
+
 def test_cli_train_and_diagnose(small_corpus_path, tmp_path):
     from lazyattn.cli import main
 
