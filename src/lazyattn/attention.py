@@ -157,9 +157,13 @@ def _resolve_bias(bias: Tensor | None, config: AttentionConfig, n: int,
     """Distance table of the positional mode (see ``_distance_table``), or (None, 0).
 
     ALiBi is the fixed table -slope_h * d over the n distances of a
-    length-n sequence; otherwise the table is ``bias``, if given.
+    length-n sequence; under ``rope_bias`` the table is ``bias``, if given.
+    Only ``rope_bias`` learns a table, so any other mode rejects one.
     """
     if bias is not None:
+        if config.positional != "rope_bias":
+            raise ValueError(f"a bias table needs positional 'rope_bias', not "
+                             f"{config.positional!r}")
         tb = bias.data.reshape(1, -1) if bias.ndim == 1 else bias.data
         if tb.ndim != 2 or tb.shape[0] != config.n_heads:
             raise ShapeError(f"bias table must be ({config.n_heads}, window+1), got {bias.shape}")
@@ -219,7 +223,7 @@ def _tape_inputs(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, tau: Tens
                  config: AttentionConfig) -> tuple[Tensor, ...]:
     """What an attention op differentiates: q, k, v, then a learned bias table and tau."""
     inputs = [q, k, v]
-    if bias is not None and config.positional == "rope_bias":
+    if bias is not None:
         inputs.append(bias)
     if tau is not None and config.normalizer.learns_tau:
         inputs.append(tau)
@@ -271,29 +275,32 @@ def scores(q: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
     return record_op(out, inputs, vjp)
 
 
-def _normalize_full(s_masked: np.ndarray, raw_scores: np.ndarray, kind: str,
-                    off: np.ndarray | None, lower: np.ndarray):
-    """Forward normalization of full (G, n, n) masked scores.
+def _normalize_full(s: np.ndarray, kind: str, off: np.ndarray | None, lower: np.ndarray):
+    """Forward normalization of full (G, n, n) scores whose upper triangle is -inf.
 
     Returns (weights, softmax_probs, active_gate). For sparsemax the probs
-    slot carries None and the gate is the support.
+    slot carries None and the gate is the support. Softmax overwrites ``s``
+    with the probabilities.
     """
     if kind == "sparsemax":
-        g, n, _ = raw_scores.shape
-        w = np.zeros_like(raw_scores)
+        g, n, _ = s.shape
+        w = np.zeros_like(s)
         for gi in range(g):
             for i in range(n):
-                w[gi, i, : i + 1] = sparsemax_row(raw_scores[gi, i, : i + 1])
+                w[gi, i, : i + 1] = sparsemax_row(s[gi, i, : i + 1])
         return w, None, w > 0
-    m = s_masked.max(axis=-1, keepdims=True)
-    e = np.exp(s_masked - m)
-    l = e.sum(axis=-1, keepdims=True)
-    p = e / l
+    p = s
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     if kind == "none":
         return p, p, None
-    pre = p + off[:, :, None]
-    w = np.maximum(pre, 0.0) * lower
-    return w, p, (pre > 0) & lower
+    w = p + off[:, :, None]
+    gate = w > 0
+    gate &= lower
+    np.maximum(w, 0.0, out=w)
+    w *= lower
+    return w, p, gate
 
 
 def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
@@ -322,9 +329,9 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     s *= sc
     if table is not None:
         s.reshape(batch, h, n, n)[...] += _bias_block(table, window, n, 0, n)[None]
-    s_masked = np.where(lower, s, -np.inf)
+    np.copyto(s, -np.inf, where=~lower)
     off = _row_offsets(kind, tau_g, n, dtype)
-    w, p, gate = _normalize_full(s_masked, s, kind, off, lower)
+    w, p, gate = _normalize_full(s, kind, off, lower)
     inputs = _tape_inputs(q, k, v, bias, tau, config)
     out = Tensor(_merge_groups(w @ v3, batch, h),
                  requires_grad=any(t.requires_grad for t in inputs))
@@ -332,36 +339,35 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     if capture is not None:
         capture.add(w.reshape(batch, h, n, n))
 
-    learn_bias = bias is not None and config.positional == "rope_bias"
     rows1 = np.arange(1, n + 1, dtype=dtype)
 
     def vjp(g):
         g3 = _split_groups(g, batch, h)
-        dw = g3 @ v3.transpose(0, 2, 1)
         dv3 = w.transpose(0, 2, 1) @ g3
+        ds = g3 @ v3.transpose(0, 2, 1)  # dw, turned into the score gradient in place
         dtau_h = None
         if kind == "sparsemax":
+            dw = ds
             ds = np.zeros_like(dw)
-            gcount, _, _ = dw.shape
-            for gi in range(gcount):
+            for gi in range(dw.shape[0]):
                 for i in range(n):
                     ds[gi, i, : i + 1] = sparsemax_vjp(w[gi, i, : i + 1], dw[gi, i, : i + 1])
         else:
-            if kind == "none":
-                dpre = dw * lower
-            else:
-                dpre = dw * gate
+            if gate is not None:  # softmax needs no mask: p is 0 on masked entries
+                ds *= gate
                 if kind == "per_query":
-                    dtau_g = (dpre.sum(axis=-1) / rows1[None, :]).sum(axis=-1)
+                    dtau_g = (ds.sum(axis=-1) / rows1[None, :]).sum(axis=-1)
                     dtau_h = dtau_g.reshape(batch, h).sum(axis=0)
                 elif kind == "global":
-                    dtau_h = dpre.sum(axis=(-1, -2)).reshape(batch, h).sum(axis=0)
-            rho = (p * dpre).sum(axis=-1, keepdims=True)
-            ds = p * (dpre - rho)
-        dq3 = (ds @ k3) * sc
-        dk3 = (ds.transpose(0, 2, 1) @ q3) * sc
+                    dtau_h = ds.sum(axis=(-1, -2)).reshape(batch, h).sum(axis=0)
+            ds -= np.einsum("gij,gij->gi", p, ds)[:, :, None]
+            ds *= p
+        dq3 = ds @ k3
+        dq3 *= sc
+        dk3 = ds.transpose(0, 2, 1) @ q3
+        dk3 *= sc
         dbias = None
-        if learn_bias:
+        if bias is not None:
             dbias = _bias_grad_block(ds.reshape(batch, h, n, n).sum(axis=0), window, 0)
         return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau, batch, h)
 
@@ -420,7 +426,10 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
 
     def weight_block(t0: int, t1: int):
         """Softmax probs, weights and active gate (None for softmax) of a tile."""
-        p = np.exp(score_block(t0, t1) - m[:, t0:, None]) / l[:, t0:, None]
+        p = score_block(t0, t1)
+        p -= m[:, t0:, None]
+        np.exp(p, out=p)
+        p /= l[:, t0:, None]
         if kind == "none":
             return p, p, None
         pre = p + off[:, t0:, None]
@@ -447,7 +456,6 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
             meter.observe(s.nbytes + e.nbytes + bm.nbytes + nm.nbytes + m.nbytes + l.nbytes)
 
     inputs = _tape_inputs(q, k, v, bias, tau, config)
-    learn_bias = bias is not None and config.positional == "rope_bias"
 
     # Pass 2: offset + rectifier, weighted value sum, and U for the backward.
     out3 = np.zeros((groups, n, dh), dtype=dtype)
@@ -492,14 +500,16 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         dq3 = np.zeros_like(q3)
         dk3 = np.zeros_like(k3)
         dv3 = np.zeros_like(v3)
-        dbias = np.zeros((h, window + 1), dtype=dtype) if learn_bias else None
+        dbias = None if bias is None else np.zeros((h, window + 1), dtype=dtype)
         for t0, t1 in tiles:
             p, w, gate = weight_block(t0, t1)
             gt = g3[:, t0:]
             dpre = gt @ v3[:, t0:t1].transpose(0, 2, 1)
             if gate is not None:  # softmax needs no mask: p is 0 on masked entries
                 dpre *= gate
-            ds = p * (dpre - rho[:, t0:, None])
+            ds = dpre
+            ds -= rho[:, t0:, None]
+            ds *= p
             dv3[:, t0:t1] += w.transpose(0, 2, 1) @ gt
             dq3[:, t0:] += (ds @ k3[:, t0:t1]) * sc
             dk3[:, t0:t1] += (ds.transpose(0, 2, 1) @ q3[:, t0:]) * sc

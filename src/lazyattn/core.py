@@ -10,10 +10,30 @@ tape twice yields bit-identical gradients.
 Broadcasting in the generic elementwise ops (``add``, ``mul``) is limited
 to scalar-vs-tensor and exact-shape; anything else raises ``ShapeError``.
 Row-vector biases go through the dedicated ``add_row`` op instead.
+
+Backward rules (vjps) return, per input, either a freshly allocated array
+or the upstream gradient itself or a view of it; they never return an
+array they saved in the forward. ``backward`` relies on that contract: it
+takes ownership of a fresh array as the input's first gradient and
+accumulates later ones into it in place, copying only the upstream
+gradient, its views, and an array handed to two inputs.
+
+Allocator policy: a training step frees a few MB of activations and
+gradients when its tape is released and allocates them again in the next
+step. By default glibc trims that memory back to the OS and moves its
+mmap threshold around, so every step faults its buffers in again as
+freshly zeroed pages. Importing this module therefore sets glibc's
+``M_MMAP_THRESHOLD`` to 32 MiB (its maximum; fixing it also turns off the
+dynamic threshold) and ``M_TRIM_THRESHOLD`` to 1 GiB, so freed heap stays
+in the process for reuse. Setting the trim threshold alone would also fix
+the mmap threshold, at glibc's 128 KiB default, and map every activation
+afresh. Where the C library has no ``mallopt`` (not glibc), nothing is
+set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -23,6 +43,25 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+
+
+_M_TRIM_THRESHOLD = -1  # glibc <malloc.h>
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> bool:
+    """Keep freed heap in the process (module docstring); True if glibc took both settings."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1)
+
+
+_FREED_HEAP_KEPT = _keep_freed_heap()
 
 
 class ShapeError(ValueError):
@@ -125,7 +164,8 @@ def record_op(output: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     """Attach a backward rule to ``output`` on the active tape, if any.
 
     ``vjp(grad_out)`` must return one gradient array (or None) per input,
-    each exactly matching the input's shape.
+    each exactly matching the input's shape, and each either freshly
+    allocated or ``grad_out`` itself or a view of it (module docstring).
     """
     if _TAPE_STACK and output.requires_grad:
         tape = _TAPE_STACK[-1]
@@ -154,12 +194,15 @@ def backward(tape: Tape, loss: Tensor) -> None:
         g = rec.output.grad
         if g is None:
             continue
-        grads = rec.vjp(g)
-        for t, gi in zip(rec.inputs, grads):
+        owned = [g]  # arrays some tensor already holds, or that belong to the output
+        for t, gi in zip(rec.inputs, rec.vjp(g)):
             if gi is None or not t.requires_grad:
                 continue
             if t.grad is None:
-                t.grad = gi.copy()  # copy: vjps may hand back the upstream grad itself
+                if any(np.may_share_memory(gi, o) for o in owned):
+                    gi = gi.copy()
+                t.grad = gi
+                owned.append(gi)
             else:
                 t.grad += gi
 
@@ -260,14 +303,30 @@ def exp(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Smooth gated activation (tanh form), used by the feed-forward blocks."""
     xd = x.data
-    x2 = xd * xd  # x**3 falls off numpy's fast pow path; keep explicit products
-    u = SQRT_2_OVER_PI * (xd + _GELU_C * (x2 * xd))
-    t = np.tanh(u)
-    out = Tensor(0.5 * xd * (1.0 + t), requires_grad=x.requires_grad)
+    a = xd * xd  # x**3 falls off numpy's fast pow path; keep explicit products
+    a *= SQRT_2_OVER_PI * _GELU_C
+    a += SQRT_2_OVER_PI
+    a *= xd  # u = sqrt(2/pi) (x + c x^3)
+    np.tanh(a, out=a)
+    a += 1.0  # a = 1 + tanh(u), kept for the backward
+    y = xd * 0.5
+    y *= a
+    out = Tensor(y, requires_grad=x.requires_grad)
 
     def vjp(g):
-        du = SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+        # d/dx = 0.5 a (1 + x (2 - a) du/dx): 1 - tanh(u)^2 = a (2 - a),
+        # du/dx = sqrt(2/pi) (1 + 3c x^2)
+        du = xd * xd
+        du *= 3.0 * SQRT_2_OVER_PI * _GELU_C
+        du += SQRT_2_OVER_PI
+        d = np.subtract(2.0, a)
+        d *= xd
+        d *= du
+        d += 1.0
+        d *= a
+        d *= 0.5
+        d *= g
+        return (d,)
 
     return record_op(out, (x,), vjp)
 
@@ -312,21 +371,27 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
         raise ShapeError("layernorm: gain/bias must be 1-D of the feature size")
     xd = x.data
     mu = xd.mean(axis=1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    xhat = xd - mu
+    y = xhat * xhat
+    var = y.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data, requires_grad=_result_flag(x, gain, bias))
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y, requires_grad=_result_flag(x, gain, bias))
     gd = gain.data
 
     def vjp(g):
-        dxhat = g * gd
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-        )
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        tmp = g * xhat
+        dgain = tmp.sum(axis=0)
+        dx = g * gd  # d xhat, turned into dx in place
+        np.multiply(dx, xhat, out=tmp)
+        proj = tmp.mean(axis=1, keepdims=True)
+        np.multiply(xhat, proj, out=tmp)
+        dx -= dx.mean(axis=1, keepdims=True)
+        dx -= tmp
+        dx *= inv
+        return dx, dgain, g.sum(axis=0)
 
     return record_op(out, (x, gain, bias), vjp)
 
@@ -342,15 +407,15 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= v:
         raise IndexError("cross_entropy: target id out of range")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
     rows = np.arange(n)
-    out = Tensor(np.asarray(-logp[rows, targets].mean(), dtype=logits.data.dtype),
+    logp = z[rows, targets] - np.log(total[:, 0])
+    out = Tensor(np.asarray(-logp.mean(), dtype=logits.data.dtype),
                  requires_grad=logits.requires_grad)
-    p = np.exp(logp)
 
     def vjp(g):
-        d = p.copy()
+        d = e / total  # softmax probabilities
         d[rows, targets] -= 1.0
         d *= float(g) / n
         return (d,)

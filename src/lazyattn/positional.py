@@ -11,6 +11,7 @@ biases.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,21 @@ def rope_freq(cfg: RopeConfig, k: int) -> float:
     return float(cfg.base ** (-2.0 * k / cfg.head_dim))
 
 
-def _rope_tables(cfg: RopeConfig, positions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=32)
+def _rope_rotations(cfg: RopeConfig, dtype: np.dtype, size: int) -> np.ndarray:
+    """Read-only (size, head_dim/2) unit complex numbers exp(i * position * frequency).
+
+    The complex dtype pairs two ``dtype`` floats, so a row of feature pairs
+    viewed as complex numbers rotates by one elementwise product.
+    """
     ks = np.arange(cfg.head_dim // 2, dtype=np.float64)
     freqs = cfg.base ** (-2.0 * ks / cfg.head_dim)
-    ang = positions.astype(np.float64)[:, None] * freqs[None, :]
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    ang = np.arange(size, dtype=np.float64)[:, None] * freqs[None, :]
+    rot = np.empty(ang.shape, dtype=np.result_type(dtype, np.complex64))
+    rot.real = np.cos(ang)
+    rot.imag = np.sin(ang)
+    rot.setflags(write=False)
+    return rot
 
 
 def apply_rope(x: Tensor, positions: np.ndarray, cfg: RopeConfig) -> Tensor:
@@ -64,26 +75,17 @@ def apply_rope(x: Tensor, positions: np.ndarray, cfg: RopeConfig) -> Tensor:
     n = x.shape[0]
     blocks = x.shape[1] // cfg.head_dim
     half = cfg.head_dim // 2
-    cos, sin = _rope_tables(cfg, positions, x.data.dtype)
-    c = cos[:, None, :]  # (n, 1, half), shared across head blocks
-    s = sin[:, None, :]
+    dtype = x.data.dtype
+    # tables cover positions up to the next power of two, so few sizes are ever cached
+    table = _rope_rotations(cfg, dtype, 1 << int(positions.max(initial=0)).bit_length())
+    rot = table[positions][:, None, :]  # (n, 1, half), shared across head blocks
 
-    xr = x.data.reshape(n, blocks, half, 2)
-    ev, od = xr[..., 0], xr[..., 1]
-    out_r = np.empty_like(xr)
-    out_r[..., 0] = ev * c - od * s
-    out_r[..., 1] = ev * s + od * c
-    out = Tensor(out_r.reshape(n, -1), requires_grad=x.requires_grad)
+    def rotate(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+        pairs = np.ascontiguousarray(a).view(rot.dtype).reshape(n, blocks, half)
+        return (pairs * r).view(dtype).reshape(n, -1)
 
-    def vjp(g):
-        gr = g.reshape(n, blocks, half, 2)
-        ge, go = gr[..., 0], gr[..., 1]
-        d = np.empty_like(gr)
-        d[..., 0] = ge * c + go * s  # inverse rotation
-        d[..., 1] = -ge * s + go * c
-        return (d.reshape(n, -1),)
-
-    return record_op(out, (x,), vjp)
+    out = Tensor(rotate(x.data, rot), requires_grad=x.requires_grad)
+    return record_op(out, (x,), lambda g: (rotate(g, rot.conj()),))  # inverse rotation
 
 
 class BiasTable:

@@ -157,14 +157,23 @@ class AdamW:
                 g = np.zeros_like(t.data)
             m = self.m[name]
             v = self.v[name]
+            tmp = np.multiply(g, 1 - b1, dtype=t.data.dtype)
             m *= b1
-            m += (1 - b1) * g
+            m += tmp
+            np.multiply(g, 1 - b2, out=tmp)
+            tmp *= g
             v *= b2
-            v += (1 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += tmp
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update = np.divide(m, c1, dtype=t.data.dtype)
+            update /= tmp
             if self.decayed(name):
-                update = update + self.weight_decay * t.data
-            t.data -= (lr * update).astype(t.data.dtype, copy=False)
+                np.multiply(t.data, self.weight_decay, out=tmp)
+                update += tmp
+            update *= lr
+            t.data -= update
 
     def zero_grads(self) -> None:
         for _, t in self.items:
@@ -207,8 +216,9 @@ def _dump_divergence(out_dir: str, step: int, loss: float, optimizer: AdamW) -> 
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True) -> TrainResult:
     """Train a model from scratch; returns paths and final losses.
 
-    Writes to out_dir: train_log.csv (step, loss, lr, wallclock),
-    eval_log.csv (step, eval_loss, eval_ppl), run_meta.json, checkpoint.bin.
+    Writes to out_dir: train_log.csv (step, loss, lr, grad_norm, the global
+    gradient norm before clipping, and wallclock), eval_log.csv (step,
+    eval_loss, eval_ppl), run_meta.json, checkpoint.bin.
     Fully deterministic for a fixed (seed, config, corpus) on one platform.
     """
     train_cfg.validate(model_cfg.n_ctx)
@@ -253,7 +263,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
 
     with open(log_path, "w", newline="") as log_fh, open(eval_path, "w", newline="") as ev_fh:
         log = csv.writer(log_fh)
-        log.writerow(["step", "loss", "lr", "wallclock"])
+        log.writerow(["step", "loss", "lr", "grad_norm", "wallclock"])
         ev = csv.writer(ev_fh)
         ev.writerow(["step", "eval_loss", "eval_ppl"])
 
@@ -276,13 +286,14 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
                 dump = _dump_divergence(train_cfg.out_dir, step, loss_val, optimizer)
                 raise TrainingDiverged(f"non-finite loss {loss_val} at step {step}; see {dump}")
             backward(tape, loss)
-            optimizer.clip_grads(train_cfg.grad_clip)
+            grad_norm = optimizer.clip_grads(train_cfg.grad_clip)
             lr = lr_at(step, train_cfg)
             optimizer.step(lr)
             optimizer.zero_grads()
 
             history.append((step, loss_val, lr))
-            log.writerow([step, repr(loss_val), repr(lr), repr(time.perf_counter() - t0)])
+            log.writerow([step, repr(loss_val), repr(lr), repr(grad_norm),
+                          repr(time.perf_counter() - t0)])
             if train_cfg.eval_every > 0 and (step + 1) % train_cfg.eval_every == 0:
                 eval_loss = run_eval(step, ev)
                 if not quiet:

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from lazyattn.core import Tensor
+from lazyattn import core, training
+from lazyattn.core import Tape, Tensor, backward
 from lazyattn.model import BOS_ID, MASK_ID, ModelConfig, TransformerLM, load_checkpoint
 from lazyattn.training import (
     AdamW,
@@ -147,6 +148,61 @@ def test_training_determinism_and_logged_lr(small_corpus_path, tmp_path):
     ck1 = open(r1.checkpoint, "rb").read()
     ck2 = open(r2.checkpoint, "rb").read()
     assert ck1 == ck2
+
+
+def test_train_log_records_the_clipped_grad_norm(small_corpus_path, tmp_path, monkeypatch):
+    """train_log.csv's grad_norm is what clip_grads returned at that step."""
+    norms = []
+    clip = training.AdamW.clip_grads
+
+    def recording_clip(self, max_norm):
+        norms.append(clip(self, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(training.AdamW, "clip_grads", recording_clip)
+    mc, tc = smoke_cfgs(small_corpus_path, tmp_path / "run", steps=6)
+    train(mc, tc)
+    with open(os.path.join(tc.out_dir, "train_log.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["step", "loss", "lr", "grad_norm", "wallclock"]
+    assert [float(r["grad_norm"]) for r in rows] == norms
+    assert all(n > 0 for n in norms)
+
+
+# Minor page faults of the 10 steps below when glibc trims freed heap and moves
+# its mmap threshold (its defaults): 145,228 for the softmax twin and 145,486 for
+# the lazy twin, about 58 MB of freshly zeroed pages per step.
+FAULTS_WITH_TRIMMING = 145_000
+
+
+@pytest.mark.skipif(not core._FREED_HEAP_KEPT, reason="glibc mallopt unavailable")
+@pytest.mark.parametrize("over", [dict(positional="rope", normalizer="softmax"),
+                                  dict(positional="rope_bias", normalizer="elastic",
+                                       tau_init=-1.0)], ids=["softmax", "lazy"])
+def test_training_steps_reuse_freed_heap(over):
+    """A warm twin-config step faults in almost no fresh pages (allocator policy in core)."""
+    import resource
+
+    from conftest import TWIN_MODEL
+
+    model = TransformerLM(ModelConfig(**{**TWIN_MODEL, **over}))
+    opt = AdamW(model.parameters())
+    batches = np.random.default_rng(0).integers(0, 256, size=(12, 8, 129))
+
+    def step(batch):
+        with Tape() as tape:
+            loss = model.loss(batch[:, :-1], batch[:, 1:])
+        backward(tape, loss)
+        opt.step(1e-3)
+        opt.zero_grads()
+
+    for batch in batches[:2]:
+        step(batch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for batch in batches[2:]:
+        step(batch)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 0.1 * FAULTS_WITH_TRIMMING
 
 
 def test_training_writes_metadata_and_eval(small_corpus_path, tmp_path):
