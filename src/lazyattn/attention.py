@@ -3,22 +3,19 @@
 Scores are scaled rotary dot products plus an optional per-head distance
 bias (or fixed ALiBi decay). Two execution paths compute the same
 function: ``attend_naive`` materializes the full weight matrix and is the
-reference, while ``attend_two_pass`` streams key tiles twice, first
-collecting per-query softmax statistics (running max and exp-sum), then
-applying the offset + rectifier and the weighted value sum, keeping
-auxiliary memory linear in sequence length for a fixed tile size. Each
-key tile meets only the query rows at or after its first key, since the
-rows before it are fully masked. Under a tape, pass 2 also saves the
-O(n) sum U of the values each query's rectifier lets through; from it and
-the output, the backward gets the softmax row-dot and the offset gradient
-without a sweep of its own, so it replays the tiles once, recomputing
-block weights from the saved statistics instead of storing the full
-matrix.
+reference, while ``attend_two_pass`` works through tiles of query rows.
+A tile's rows see only the keys up to its last row, so one (tile, keys)
+score block holds each of its rows whole: a single forward pass over it
+gives the rows' softmax max and sum, the offset + rectifier and the
+weighted value sum, and only the O(n) row statistics are kept, which
+keeps auxiliary memory linear in sequence length for a fixed tile size.
+The backward rebuilds each block from those statistics instead of
+storing the full matrix.
 
 Both paths, and ``scores``, read position biases through one helper: a
 learned table or the fixed ALiBi decay becomes a distance table, looked
-up through a cached distance index per tile (the naive path's tile is the
-whole square), and score gradients fold back through the same index.
+up through a cached distance index per row tile (the naive path's tile is
+the whole square), and score gradients fold back through the same index.
 
 Sparsemax needs globally sorted rows, which does not stream; it is
 supported on the naive path only.
@@ -35,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShapeError, Tensor, is_recording, matmul, record_op
+from .core import ShapeError, Tensor, matmul, record_op
 from .normalizers import NormalizerMode, sparsemax_row, sparsemax_vjp
 from .positional import RopeConfig, alibi_slope, apply_rope
 
@@ -145,7 +142,7 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, batch: 
 def _distance_table(tb: np.ndarray) -> tuple[np.ndarray, int]:
     """(H, window+1) distance biases -> (H, window+2) table and window.
 
-    The appended zero column is the sentinel that ``_tile_distances`` sends
+    The appended zero column is the sentinel that ``_row_distances`` sends
     every distance outside [0, window] to.
     """
     sentinel = np.zeros((tb.shape[0], 1), dtype=tb.dtype)
@@ -188,31 +185,34 @@ def _resolve_tau(tau: Tensor | None, config: AttentionConfig, batch: int) -> np.
 
 
 @functools.lru_cache(maxsize=128)
-def _tile_distances(n: int, t0: int, t1: int, window: int) -> np.ndarray:
-    """Read-only distance index for query rows [t0, n) against key columns [t0, t1).
+def _row_distances(r0: int, r1: int, window: int) -> np.ndarray:
+    """Read-only distance index for query rows [r0, r1) against key columns [0, r1).
 
-    Entry (i, j) is the distance i - j, or the sentinel ``window + 1`` when
-    it lies outside [0, window] (the validity mask, folded into the index).
+    Entry (i, j) is the distance r0 + i - j, or the sentinel ``window + 1``
+    when it lies outside [0, window] (the validity mask, folded into the index).
     """
-    d = np.arange(t0, n)[:, None] - np.arange(t0, t1)[None, :]
+    d = np.arange(r0, r1)[:, None] - np.arange(r1)[None, :]
     idx = np.where((d >= 0) & (d <= window), d, window + 1)
     idx.setflags(write=False)
     return idx
 
 
-def _bias_block(table: np.ndarray, window: int, n: int, t0: int, t1: int) -> np.ndarray:
-    """(H, n-t0, t1-t0) additive score bias for query rows [t0, n), keys [t0, t1).
+def _row_bias(table: np.ndarray, window: int, r0: int, r1: int) -> np.ndarray:
+    """(H, r1-r0, r1) additive score bias for query rows [r0, r1), keys [0, r1).
 
     ``table`` comes from ``_distance_table``; the naive path and ``scores``
-    take the whole square as one tile (t0 = 0, t1 = n).
+    take the whole square as one row tile (r0 = 0, r1 = n).
     """
-    return np.take(table, _tile_distances(n, t0, t1, window), axis=1)
+    return np.take(table, _row_distances(r0, r1, window), axis=1)
 
 
-def _bias_grad_block(g_h: np.ndarray, window: int, t0: int) -> np.ndarray:
-    """Fold (H, n-t0, T) score grads for rows [t0, n), keys [t0, t0+T) onto the table."""
-    h, rows, t = g_h.shape
-    idx = _tile_distances(t0 + rows, t0, t0 + t, window).reshape(-1)
+def _row_bias_grad(g_h: np.ndarray, window: int, r0: int) -> np.ndarray:
+    """Fold (H, T, r0+T) score grads for rows [r0, r0+T), keys [0, r0+T) onto the table.
+
+    One head at a time, so the fold's extra memory is one head's block.
+    """
+    h, rows, _ = g_h.shape
+    idx = _row_distances(r0, r0 + rows, window).reshape(-1)
     out = np.empty((h, window + 1), dtype=g_h.dtype)
     for hi in range(h):
         out[hi] = np.bincount(idx, weights=g_h[hi].reshape(-1), minlength=window + 2)[:-1]
@@ -259,7 +259,7 @@ def scores(q: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias.ndim != 1:
             raise ShapeError("scores: bias must be a 1-D distance table")
         table, window = _distance_table(bias.data[None])
-        s = s + _bias_block(table, window, n, 0, n)[0]
+        s = s + _row_bias(table, window, 0, n)[0]
     s = np.where(lower, s, 0.0)
     inputs = (q, k) if bias is None else (q, k, bias)
     out = Tensor(s, requires_grad=any(t.requires_grad for t in inputs))
@@ -270,7 +270,7 @@ def scores(q: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
         dk = (gm.T @ q.data) * sc
         if bias is None:
             return dq, dk
-        return dq, dk, _bias_grad_block(gm[None], window, 0)[0]
+        return dq, dk, _row_bias_grad(gm[None], window, 0)[0]
 
     return record_op(out, inputs, vjp)
 
@@ -328,7 +328,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     s = q3 @ k3.transpose(0, 2, 1)
     s *= sc
     if table is not None:
-        s.reshape(batch, h, n, n)[...] += _bias_block(table, window, n, 0, n)[None]
+        s.reshape(batch, h, n, n)[...] += _row_bias(table, window, 0, n)[None]
     np.copyto(s, -np.inf, where=~lower)
     off = _row_offsets(kind, tau_g, n, dtype)
     w, p, gate = _normalize_full(s, kind, off, lower)
@@ -368,7 +368,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         dk3 *= sc
         dbias = None
         if bias is not None:
-            dbias = _bias_grad_block(ds.reshape(batch, h, n, n).sum(axis=0), window, 0)
+            dbias = _row_bias_grad(ds.reshape(batch, h, n, n).sum(axis=0), window, 0)
         return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau, batch, h)
 
     return record_op(out, inputs, vjp)
@@ -378,24 +378,28 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
                     bias: Tensor | None = None, tau: Tensor | None = None,
                     batch: int = 1, capture: CaptureBuffer | None = None,
                     meter: AllocationMeter | None = None) -> Tensor:
-    """Tiled attention equal to ``attend_naive`` for every offset normalizer.
+    """Row-tiled attention equal to ``attend_naive`` for every offset normalizer.
 
-    Key tile [t0, t1) only meets query rows [t0, n): earlier rows are fully
-    masked, so every pass skips them, and only the diagonal square
-    [t0, t1) x [t0, t1) needs the causal mask. Pass 1 keeps per-query
-    running max and exp-sum. Pass 2 rebuilds each weight block from those
-    statistics, applies the offset + rectifier, and accumulates the value
-    sum O; when a tape will record the op and the normalizer has an offset,
-    it also accumulates U_i = sum_j gate_ij v_j over the active entries.
-    Nothing of size n*n is materialized (unless ``capture`` asks for the
-    weights), so auxiliary memory is O(n) per head at a fixed tile size.
+    Query rows are taken ``config.tile`` at a time. Rows [r0, r1) see only
+    keys [0, r1), so their score block holds each of those rows whole, and
+    only its last r1 - r0 columns need the causal mask. The forward builds
+    each block once: it takes each row's max and exp-sum over the block,
+    applies the offset + rectifier in place and writes O for those rows,
+    keeping only the per-row max and sum. Nothing of size n*n is
+    materialized (unless ``capture`` asks for the weights), so auxiliary
+    memory is O(n) per head at a fixed tile size.
 
-    The backward is one sweep over the tiles. Because the weights are
-    gate * (p + off), the softmax row-dot is rho_i = dO_i . (O_i - off_i U_i)
-    (dO_i . O_i for softmax) and the offset gradient is sum_i dO_i . U_i / i
-    (per-query) or sum_i dO_i . U_i (global), both read from saved values;
-    the sweep then recomputes block weights and yields dq, dk, dv and the
-    bias gradient together.
+    The backward rebuilds each block from the saved max and sum, which
+    gives the forward's weights bit for bit, takes the softmax row-dot
+    rho_i = sum_j p_ij dpre_ij over the block, writes dq for the tile's
+    rows, and accumulates dk, dv, the tau gradient and the bias gradient.
+    With one tile (tile >= n) output and gradients equal ``attend_naive``'s
+    exactly.
+
+    The path was named when its forward streamed key tiles twice; the name
+    stays because configs and checkpoints (``attention_path``) select the
+    path by it. Its two passes over the blocks are now the forward and the
+    backward's rebuild.
     """
     n = _check_qkv(q, k, v, config, batch)
     h, dh = config.n_heads, config.head_dim
@@ -414,69 +418,54 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     k3 = _split_groups(k.data, batch, h)
     v3 = _split_groups(v.data, batch, h)
     groups = batch * h
-    tiles = [(t0, min(t0 + tile, n)) for t0 in range(0, n, tile)]
+    tiles = [(r0, min(r0 + tile, n)) for r0 in range(0, n, tile)]
+    m = np.empty((groups, n), dtype=dtype)  # row max and exp-sum of the scores
+    l = np.empty((groups, n), dtype=dtype)
 
-    def score_block(t0: int, t1: int) -> np.ndarray:
-        s = q3[:, t0:] @ k3[:, t0:t1].transpose(0, 2, 1)
-        s *= sc
+    def prob_block(r0: int, r1: int, fresh: bool = False) -> np.ndarray:
+        """Softmax probabilities of rows [r0, r1) over keys [0, r1).
+
+        ``fresh`` takes the row max and sum from the block and saves them;
+        otherwise the block is rebuilt from the saved ones.
+        """
+        p = q3[:, r0:r1] @ k3[:, :r1].transpose(0, 2, 1)
+        p *= sc
         if table is not None:
-            s.reshape(batch, h, n - t0, t1 - t0)[...] += _bias_block(table, window, n, t0, t1)[None]
-        np.copyto(s[:, : t1 - t0], -np.inf, where=~_lower_mask(t1 - t0))
-        return s
-
-    def weight_block(t0: int, t1: int):
-        """Softmax probs, weights and active gate (None for softmax) of a tile."""
-        p = score_block(t0, t1)
-        p -= m[:, t0:, None]
+            p.reshape(batch, h, r1 - r0, r1)[...] += _row_bias(table, window, r0, r1)[None]
+        np.copyto(p[:, :, r0:], -np.inf, where=~_lower_mask(r1 - r0))
+        if fresh:
+            m[:, r0:r1] = p.max(axis=-1)
+        p -= m[:, r0:r1, None]
         np.exp(p, out=p)
-        p /= l[:, t0:, None]
-        if kind == "none":
-            return p, p, None
-        pre = p + off[:, t0:, None]
-        gate = pre > 0
-        w = np.maximum(pre, 0.0)
-        lower = _lower_mask(t1 - t0)
-        gate[:, : t1 - t0] &= lower
-        w[:, : t1 - t0] *= lower
-        return p, w, gate
+        if fresh:
+            l[:, r0:r1] = p.sum(axis=-1)
+        p /= l[:, r0:r1, None]
+        return p
 
-    # Pass 1: running softmax statistics.
-    m = np.full((groups, n), -np.inf, dtype=dtype)
-    l = np.zeros((groups, n), dtype=dtype)
-    for t0, t1 in tiles:
-        s = score_block(t0, t1)
-        bm = s.max(axis=-1)
-        mt, lt = m[:, t0:], l[:, t0:]
-        nm = np.maximum(mt, bm)
-        e = np.exp(s - nm[:, :, None])
-        lt *= np.exp(mt - nm)
-        lt += e.sum(axis=-1)
-        mt[...] = nm
-        if meter is not None:
-            meter.observe(s.nbytes + e.nbytes + bm.nbytes + nm.nbytes + m.nbytes + l.nbytes)
+    def rectify(w: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """Rectify the block p + off of rows [r0, r1) in place and zero its masked entries."""
+        np.maximum(w, 0.0, out=w)
+        w[:, :, r0:] *= _lower_mask(r1 - r0)
+        return w
 
-    inputs = _tape_inputs(q, k, v, bias, tau, config)
-
-    # Pass 2: offset + rectifier, weighted value sum, and U for the backward.
-    out3 = np.zeros((groups, n, dh), dtype=dtype)
-    u3 = None
-    if kind != "none" and is_recording(*inputs):
-        u3 = np.zeros_like(out3)
+    out3 = np.empty((groups, n, dh), dtype=dtype)
     cap = None
     if capture is not None:
         cap = np.zeros((groups, n, n), dtype=np.float32)
-    for t0, t1 in tiles:
-        p, w, gate = weight_block(t0, t1)
-        out3[:, t0:] += w @ v3[:, t0:t1]
-        if u3 is not None:
-            u3[:, t0:] += gate.astype(dtype) @ v3[:, t0:t1]
+    for r0, r1 in tiles:
+        w = prob_block(r0, r1, fresh=True)
+        if kind != "none":
+            w += off[:, r0:r1, None]
+            rectify(w, r0, r1)
+        out3[:, r0:r1] = w @ v3[:, :r1]
         if cap is not None:
-            cap[:, t0:, t0:t1] = w
+            cap[:, r0:r1, :r1] = w
         if meter is not None:
-            # score, probability and weight blocks, plus the O(n) state
-            meter.observe(3 * p.nbytes + m.nbytes + l.nbytes + out3.nbytes
-                          + (0 if u3 is None else u3.nbytes))
+            # the score block (weights in place) and its bias block, the row max and sum, O
+            bias_bytes = 0 if table is None else w.nbytes // batch
+            meter.observe(w.nbytes + bias_bytes + m.nbytes + l.nbytes + out3.nbytes)
 
+    inputs = _tape_inputs(q, k, v, bias, tau, config)
     out = Tensor(_merge_groups(out3, batch, h),
                  requires_grad=any(t.requires_grad for t in inputs))
     if cap is not None:
@@ -486,37 +475,34 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
 
     def vjp(g):
         g3 = _split_groups(g, batch, h)
-        dtau_h = None
-        if kind == "none":
-            rho = (g3 * out3).sum(axis=-1)
-        else:
-            rho = (g3 * (out3 - off[:, :, None] * u3)).sum(axis=-1)
-            gu = (g3 * u3).sum(axis=-1)
-            if kind == "per_query":
-                dtau_h = (gu / rows1[None, :]).sum(axis=-1).reshape(batch, h).sum(axis=0)
-            elif kind == "global":
-                dtau_h = gu.sum(axis=-1).reshape(batch, h).sum(axis=0)
-
-        dq3 = np.zeros_like(q3)
+        dq3 = np.empty_like(q3)
         dk3 = np.zeros_like(k3)
         dv3 = np.zeros_like(v3)
+        dtau_g = np.zeros(groups, dtype=dtype) if kind in ("per_query", "global") else None
         dbias = None if bias is None else np.zeros((h, window + 1), dtype=dtype)
-        for t0, t1 in tiles:
-            p, w, gate = weight_block(t0, t1)
-            gt = g3[:, t0:]
-            dpre = gt @ v3[:, t0:t1].transpose(0, 2, 1)
-            if gate is not None:  # softmax needs no mask: p is 0 on masked entries
-                dpre *= gate
-            ds = dpre
-            ds -= rho[:, t0:, None]
+        for r0, r1 in tiles:
+            p = prob_block(r0, r1)
+            gt = g3[:, r0:r1]
+            ds = gt @ v3[:, :r1].transpose(0, 2, 1)  # dw, turned into the score gradient in place
+            w = p
+            if kind != "none":  # softmax needs no mask: p is 0 on masked entries
+                w = rectify(p + off[:, r0:r1, None], r0, r1)
+                ds *= w > 0
+                if kind == "per_query":
+                    dtau_g += (ds.sum(axis=-1) / rows1[None, r0:r1]).sum(axis=-1)
+                elif kind == "global":
+                    dtau_g += ds.sum(axis=(-1, -2))
+            ds -= np.einsum("gij,gij->gi", p, ds)[:, :, None]
             ds *= p
-            dv3[:, t0:t1] += w.transpose(0, 2, 1) @ gt
-            dq3[:, t0:] += (ds @ k3[:, t0:t1]) * sc
-            dk3[:, t0:t1] += (ds.transpose(0, 2, 1) @ q3[:, t0:]) * sc
+            dv3[:, :r1] += w.transpose(0, 2, 1) @ gt
+            dq3[:, r0:r1] = ds @ k3[:, :r1]
+            dk3[:, :r1] += ds.transpose(0, 2, 1) @ q3[:, r0:r1]
             if dbias is not None:
-                dbias += _bias_grad_block(ds.reshape(batch, h, n - t0, t1 - t0).sum(axis=0),
-                                          window, t0)
-
+                dbias += _row_bias_grad(ds.reshape(batch, h, r1 - r0, r1).sum(axis=0),
+                                        window, r0)
+        dq3 *= sc
+        dk3 *= sc
+        dtau_h = None if dtau_g is None else dtau_g.reshape(batch, h).sum(axis=0)
         return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau, batch, h)
 
     return record_op(out, inputs, vjp)

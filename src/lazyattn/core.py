@@ -174,15 +174,6 @@ def record_op(output: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     return output
 
 
-def is_recording(*inputs: Tensor) -> bool:
-    """True when an op over ``inputs`` would be recorded by ``record_op``.
-
-    That is, a tape is active and at least one input requires grad; ops use
-    it to skip saving state that only their backward rule reads.
-    """
-    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
-
-
 def backward(tape: Tape, loss: Tensor) -> None:
     """Populate ``grad`` of every requires_grad tensor reachable from ``loss``."""
     if loss.size != 1:

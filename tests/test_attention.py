@@ -160,16 +160,27 @@ def test_two_pass_rejects_sparsemax():
 
 
 def test_two_pass_single_tile_reproduces_naive_exactly():
+    """With one row tile (tile >= n) the output and the q, k, v, bias and tau
+    gradients equal the naive path's bit for bit."""
     rng = np.random.default_rng(9)
-    n = 24
-    q, k, v = rand_qkv(rng, n, 8, dtype="float32")
-    bias = Tensor(rng.normal(size=(1, 9)), dtype="float32")
-    tau = Tensor(np.array([-1.0]), dtype="float32")
-    for mode in MODES:
-        cfg = make_cfg(mode, tile=n)
-        a = attend_naive(q, k, v, cfg, bias=bias, tau=tau)
-        b = attend_two_pass(q, k, v, cfg, bias=bias, tau=tau)
-        assert np.array_equal(a.data, b.data)
+    n, heads, dh, batch = 24, 2, 8, 2
+    arrays = {name: rng.normal(size=(batch * n, heads * dh)) for name in "qkv"}
+    arrays["bias"] = rng.normal(size=(heads, 9))
+    arrays["tau"] = np.array([-1.0, 0.3])
+    cot = rng.normal(size=(batch * n, heads * dh))
+    differ = []
+    for dtype in ("float32", "float64"):
+        for mode in MODES:
+            cfg = make_cfg(mode, heads=heads, dh=dh, tile=n)
+            got_out, got = attend_with_grads(attend_two_pass, cfg, arrays, cot, batch, dtype)
+            want_out, want = attend_with_grads(attend_naive, cfg, arrays, cot, batch, dtype)
+            if not np.array_equal(got_out, want_out):
+                differ.append((dtype, mode, "out"))
+            for name in arrays:
+                if (got[name] is None) != (want[name] is None) or (
+                        got[name] is not None and not np.array_equal(got[name], want[name])):
+                    differ.append((dtype, mode, name))
+    assert differ == []
 
 
 @pytest.mark.parametrize("tile", [16, 64])
@@ -332,7 +343,8 @@ def test_two_pass_matches_naive_on_random_shapes(case):
 @pytest.mark.parametrize("mode", ["elastic", "elastic_global"])
 @pytest.mark.parametrize("tau", [-1.0, 0.7])
 def test_two_pass_backward_at_row_dot_corners(mode, tau):
-    """rho_i = dO_i . (O_i - off_i U_i) where rows rectify to zero and where tau > 0.
+    """The row-dot rho_i = sum_j p_ij dpre_ij, taken over each rebuilt block, where
+    rows rectify to zero and where tau > 0.
 
     Zeroed query rows give uniform scores; with per-query tau = -1 those
     rows rectify entirely to zero. With tau > 0 every causal entry is active
@@ -362,26 +374,55 @@ def test_bias_table_needs_rope_bias(attend, positional):
         attend(q, k, v, make_cfg("softmax", positional=positional), bias=bias)
 
 
-def test_two_pass_saves_value_sum_only_under_tape():
-    """Peak auxiliary bytes: the block and row-state formula, plus U only when taped."""
+def test_two_pass_meter_counts_one_block_and_the_row_state():
+    """Peak auxiliary bytes: the last row tile's score block (weights in place) and
+    its bias block, the row max and sum, and O; the same with and without a tape."""
     rng = np.random.default_rng(21)
     n, heads, dh, batch, tile = 96, 2, 8, 2, 16
     g, isz = batch * heads, 4
     q, k, v = rand_qkv(rng, batch * n, heads * dh, dtype="float32", grad=True)
+    bias = Tensor(rng.normal(size=(heads, 9)), requires_grad=True, dtype="float32")
     tau = Tensor(np.array([-1.0, -0.5]), requires_grad=True, dtype="float32")
     cfg = make_cfg("elastic", heads=heads, dh=dh, tile=tile)
-    pass1 = 2 * g * n * tile + 4 * g * n  # score and exp blocks; max, new max, m, l
-    pass2 = 3 * g * n * tile + 2 * g * n + g * n * dh  # score, prob, weight blocks; m, l, O
-    without_u = max(pass1, pass2) * isz
+    blocks = (g + heads) * tile * n  # rows [80, 96) against keys [0, 96)
+    want = (blocks + 2 * g * n + g * n * dh) * isz
 
     meter = AllocationMeter()
-    attend_two_pass(q, k, v, cfg, tau=tau, batch=batch, meter=meter)
-    assert meter.peak == without_u
+    attend_two_pass(q, k, v, cfg, bias=bias, tau=tau, batch=batch, meter=meter)
+    assert meter.peak == want
 
     meter = AllocationMeter()
     with Tape():
-        attend_two_pass(q, k, v, cfg, tau=tau, batch=batch, meter=meter)
-    assert meter.peak == without_u + g * n * dh * isz
+        attend_two_pass(q, k, v, cfg, bias=bias, tau=tau, batch=batch, meter=meter)
+    assert meter.peak == want
+
+
+def test_two_pass_builds_each_score_block_once_per_pass(monkeypatch):
+    """A tape-free forward builds one score block per row tile, and the backward
+    rebuilds each once more; under rope_bias the bias helper counts the blocks."""
+    from lazyattn import attention
+
+    built = []
+    row_bias = attention._row_bias
+    monkeypatch.setattr(attention, "_row_bias",
+                        lambda table, window, r0, r1: built.append((r0, r1))
+                        or row_bias(table, window, r0, r1))
+    rng = np.random.default_rng(23)
+    n, heads, dh, batch = 40, 2, 4, 2
+    q, k, v = rand_qkv(rng, batch * n, heads * dh, grad=True)
+    bias = Tensor(rng.normal(size=(heads, 6)), requires_grad=True, dtype="float64")
+    tau = Tensor(np.array([-1.0, -0.5]), requires_grad=True, dtype="float64")
+    cfg = make_cfg("elastic", heads=heads, dh=dh, tile=16)
+    tiles = [(0, 16), (16, 32), (32, 40)]
+
+    attend_two_pass(q, k, v, cfg, bias=bias, tau=tau, batch=batch)
+    assert built == tiles
+    built.clear()
+    with Tape() as tape:
+        loss = core.sum_all(attend_two_pass(q, k, v, cfg, bias=bias, tau=tau, batch=batch))
+    assert built == tiles
+    backward(tape, loss)
+    assert built == tiles + tiles
 
 
 def make_layer(rng, d, heads, window, dtype="float64"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lazyattn import core
-from lazyattn.attention import _bias_block, _bias_grad_block, _distance_table
+from lazyattn.attention import _distance_table, _row_bias, _row_bias_grad
 from lazyattn.core import Tape, Tensor, backward
 from lazyattn.positional import (
     BiasTable,
@@ -122,28 +122,28 @@ def test_bias_lookup_window_and_init():
 
 
 def test_distance_bias_matrix_and_grad_roundtrip():
-    """The attention paths' bias block and its gradient fold, against scalar loops."""
+    """The attention paths' row-tile bias block and its gradient fold, against scalar loops."""
     rng = np.random.default_rng(4)
     biases = rng.normal(size=(2, 4))
     table, window = _distance_table(biases)
     assert window == 3
-    for n, t0, t1 in [(6, 0, 6), (9, 3, 7)]:  # the whole square; one tile (window < n)
-        m = _bias_block(table, window, n, t0, t1)
-        want = np.zeros((2, n - t0, t1 - t0))
+    for r0, r1 in [(0, 6), (3, 7)]:  # the whole square; rows [3, 7) x keys [0, 7) (window < n)
+        m = _row_bias(table, window, r0, r1)
+        want = np.zeros((2, r1 - r0, r1))
         for h in range(2):
-            for i in range(t0, n):
-                for j in range(t0, t1):
+            for i in range(r0, r1):
+                for j in range(r1):
                     if 0 <= i - j <= window:
-                        want[h, i - t0, j - t0] = biases[h, i - j]
+                        want[h, i - r0, j] = biases[h, i - j]
         assert np.array_equal(m, want)  # 0 above the diagonal and beyond the window
         g = rng.normal(size=m.shape)
-        folded = _bias_grad_block(g, window, t0)
+        folded = _row_bias_grad(g, window, r0)
         want = np.zeros((2, window + 1))
         for h in range(2):
-            for i in range(t0, n):
-                for j in range(t0, min(i + 1, t1)):
+            for i in range(r0, r1):
+                for j in range(i + 1):
                     if i - j <= window:
-                        want[h, i - j] += g[h, i - t0, j - t0]
+                        want[h, i - j] += g[h, i - r0, j]
         assert np.allclose(folded, want)
 
 
