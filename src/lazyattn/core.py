@@ -7,6 +7,13 @@ recorded in order; ``backward`` replays the records in reverse, so gradient
 accumulation happens in a fixed sequential order and replaying the same
 tape twice yields bit-identical gradients.
 
+Tapes are per thread: a ``Tape`` records only the ops its own thread runs
+while it is active, so threads can each differentiate their own
+computation over shared parameter arrays (the training step's row shards
+do this). ``one_blas_thread`` pins numpy's BLAS to one thread while such
+threads run; it finds OpenBLAS's thread-count functions through numpy's
+core extension, and where numpy links another BLAS it pins nothing.
+
 Broadcasting in the generic elementwise ops (``add``, ``mul``) is limited
 to scalar-vs-tensor and exact-shape; anything else raises ``ShapeError``.
 Row-vector biases go through the dedicated ``add_row`` op instead.
@@ -27,14 +34,20 @@ freshly zeroed pages. Importing this module therefore sets glibc's
 dynamic threshold) and ``M_TRIM_THRESHOLD`` to 1 GiB, so freed heap stays
 in the process for reuse. Setting the trim threshold alone would also fix
 the mmap threshold, at glibc's 128 KiB default, and map every activation
-afresh. Where the C library has no ``mallopt`` (not glibc), nothing is
-set.
+afresh. It also sets ``M_ARENA_MAX`` to 1, so the threads that run a
+step's row shards allocate from one heap: with an arena per thread, each
+arena kept its own high-water mark of freed memory that the other
+threads could not reuse, which raised peak RSS by about 46 MB on an
+n_ctx = 512 run. Where the C library has no ``mallopt`` (not glibc),
+nothing is set.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
+import threading
 
 import numpy as np
 
@@ -47,10 +60,11 @@ _GELU_C = 0.044715
 
 _M_TRIM_THRESHOLD = -1  # glibc <malloc.h>
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_heap() -> bool:
-    """Keep freed heap in the process (module docstring); True if glibc took both settings."""
+    """Keep freed heap in the process, in one arena (module docstring); True if glibc took all three."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
@@ -58,10 +72,62 @@ def _keep_freed_heap() -> bool:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
-            and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1)
+            and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1
+            and mallopt(_M_ARENA_MAX, 1) == 1)
 
 
 _FREED_HEAP_KEPT = _keep_freed_heap()
+
+
+def _find_blas_threads():
+    """OpenBLAS's (get, set) thread-count functions as numpy links them, or None.
+
+    numpy's core extension links its BLAS, so the extension's handle finds
+    the library's symbols, the way ``_keep_freed_heap`` finds ``mallopt``.
+    OpenBLAS builds name them with a prefix and an integer-width suffix.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+_BLAS_THREADS = _find_blas_threads()
+BLAS_PINNABLE = _BLAS_THREADS is not None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run BLAS on one thread inside the block; the previous count comes back on exit.
+
+    The count is restored on an exception too. Where numpy's BLAS exposes
+    no thread setter (``BLAS_PINNABLE`` is False) the block runs unchanged.
+    """
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 class ShapeError(ValueError):
@@ -131,7 +197,14 @@ class _Record:
         self.vjp = vjp
 
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):
+    """Each thread's stack of active tapes; a new thread starts with none."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_ACTIVE = _TapeStack()
 
 
 class Tape:
@@ -142,11 +215,11 @@ class Tape:
         self._output_ids: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _ACTIVE.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
+        popped = _ACTIVE.tapes.pop()
         assert popped is self, "tape context exited out of order"
 
     def __len__(self) -> int:
@@ -161,14 +234,15 @@ class Tape:
 
 
 def record_op(output: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-    """Attach a backward rule to ``output`` on the active tape, if any.
+    """Attach a backward rule to ``output`` on this thread's active tape, if any.
 
     ``vjp(grad_out)`` must return one gradient array (or None) per input,
     each exactly matching the input's shape, and each either freshly
     allocated or ``grad_out`` itself or a view of it (module docstring).
     """
-    if _TAPE_STACK and output.requires_grad:
-        tape = _TAPE_STACK[-1]
+    tapes = _ACTIVE.tapes
+    if tapes and output.requires_grad:
+        tape = tapes[-1]
         tape.records.append(_Record(output, inputs, vjp))
         tape._output_ids.add(id(output))
     return output
@@ -422,8 +496,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out = Tensor(table.data[ids], requires_grad=table.requires_grad)
 
     def vjp(g):
+        # sum the rows of each id in a stable id order: one pass, no scatter-add
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order].astype(np.intp, copy=False)  # signed, for the -1 below
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
         d = np.zeros_like(table.data)
-        np.add.at(d, ids, g)
+        d[sorted_ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
         return (d,)
 
     return record_op(out, (table,), vjp)

@@ -16,6 +16,7 @@ declared order. Same-precision round trips are bit-exact.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import struct
@@ -169,6 +170,24 @@ class TransformerLM:
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
+
+    def replica(self) -> "TransformerLM":
+        """A model that shares every parameter array with this one but owns its grad slots.
+
+        A replica's forward and backward compute what this model's would, and
+        fill only the replica's ``grad`` slots, so threads can differentiate
+        row shards of one batch at once. In-place updates of a parameter's
+        ``data`` (the optimizer's) reach every replica; rebinding ``data``
+        (as ``load_checkpoint`` does) does not. The configs are shared too.
+        """
+        twin = copy.copy(self)
+        twin.params = {name: Tensor(t.data, requires_grad=t.requires_grad)
+                       for name, t in self.params.items()}
+        twin.layers = [{name: twin.params[f"layer{li}.{name}"] for name in lp}
+                       for li, lp in enumerate(self.layers)]
+        twin.bias_table = copy.copy(self.bias_table)
+        twin.bias_table.tables = [lp["attn.bias_table"] for lp in twin.layers]
+        return twin
 
     def trainable(self) -> dict[str, Tensor]:
         return {k: t for k, t in self.params.items() if t.requires_grad}

@@ -9,23 +9,40 @@ drag the offsets back to zero and flatten the learned decay curves).
 
 An optional probe replaces the token at one fixed position of every
 training chunk with a reserved mask id.
+
+A training step cuts its batch rows into ``SHARDS`` contiguous shards (one
+when the batch has a single row). Each shard's loss and backward run on a
+replica of the model that shares its parameter arrays but owns its grad
+slots, one shard per thread where two CPUs are usable, with BLAS pinned to
+one thread while they run (numpy releases the interpreter lock in the
+ufuncs, reductions and matmuls a step is made of). Each shard's loss is
+scaled by its share of the rows, and the shard gradients are summed into
+the model's in shard order, which gives the full batch's gradient (Goyal
+et al. 2017, arXiv:1706.02677) up to rounding. A shard computes the same
+bits whichever thread runs it, so a run's bits do not depend on how many
+threads ran the shards. ``mean_nll`` evaluates ``SHARDS`` batches at a time
+the same way and sums them in batch order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import core
 from .core import Tape, Tensor, backward
 from .model import BOS_ID, MASK_ID, ModelConfig, TransformerLM, save_checkpoint
 
 NO_DECAY_SUFFIXES = ("attn.tau", "attn.bias_table")
+SHARDS = 2  # row shards per training step, and eval batches per round
 
 
 class ConfigError(ValueError):
@@ -133,11 +150,15 @@ class AdamW:
         return self.weight_decay > 0 and not name.endswith(NO_DECAY_SUFFIXES)
 
     def clip_grads(self, max_norm: float) -> float:
-        """Scale all grads so their global L2 norm is at most ``max_norm``."""
+        """Scale all grads so their global L2 norm is at most ``max_norm``.
+
+        Each gradient's squared norm is one dot product in its own precision;
+        the sum over gradients is in float64.
+        """
         total = 0.0
         for _, t in self.items:
             if t.grad is not None:
-                total += float((t.grad.astype(np.float64) ** 2).sum())
+                total += float(np.vdot(t.grad, t.grad))
         norm = math.sqrt(total)
         if max_norm > 0 and norm > max_norm:
             factor = max_norm / norm
@@ -180,16 +201,112 @@ class AdamW:
             t.grad = None
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _ShardRunner:
+    """Runs one call per shard and returns the results in shard order.
+
+    With more than one shard and a BLAS whose thread count can be set,
+    BLAS runs one thread while the runner is open, and the calls run on up
+    to ``threads`` threads: the calling thread and a worker pool that
+    closes with the runner. Otherwise they run one after another on the
+    calling thread. A call computes the same bits on any thread, so results
+    do not depend on ``threads``.
+    """
+
+    def __init__(self, shards: int):
+        self.blas_pinned = shards > 1 and core.BLAS_PINNABLE
+        self.threads = min(shards, _usable_cpus()) if self.blas_pinned else 1
+        self._stack = contextlib.ExitStack()
+        self._pool: ThreadPoolExecutor | None = None
+
+    def __enter__(self) -> "_ShardRunner":
+        if self.blas_pinned:
+            self._stack.enter_context(core.one_blas_thread())
+        if self.threads > 1:
+            self._pool = self._stack.enter_context(ThreadPoolExecutor(self.threads - 1))
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._pool = None
+        return self._stack.__exit__(*exc)  # joins the workers, then restores the BLAS thread count
+
+    def map(self, fn, items: list) -> list:
+        if self._pool is None:
+            return [fn(x) for x in items]
+        rest = [self._pool.submit(fn, x) for x in items[1:]]
+        try:
+            first = fn(items[0])
+        finally:
+            wait(rest)  # the workers finish their shards even when the caller's raised
+        return [first, *(f.result() for f in rest)]
+
+
+def _row_shards(rows: int) -> list[slice]:
+    """``min(SHARDS, rows)`` contiguous row ranges whose sizes differ by at most one."""
+    k = min(SHARDS, rows)
+    return [slice(i * rows // k, (i + 1) * rows // k) for i in range(k)]
+
+
+def _shard_loss(model: TransformerLM, batch: np.ndarray, share: float) -> float:
+    """Backward of ``share`` times the mean loss of ``batch``; returns that scaled loss."""
+    with Tape() as tape:
+        loss = core.scale(model.loss(batch[:, :-1], batch[:, 1:]), share)
+    backward(tape, loss)
+    return loss.item()
+
+
+def _sharded_grads(replicas: list[TransformerLM], batch: np.ndarray,
+                   runner: _ShardRunner) -> float:
+    """Mean loss of ``batch``; leaves its gradient in ``replicas[0]``'s grad slots.
+
+    Shard i of ``_row_shards`` runs on ``replicas[i]``, its loss scaled by
+    its share of the rows. ``replicas[0]`` is the model itself; the other
+    replicas' gradients are added to its grads in shard order and cleared.
+    """
+    rows = len(batch)
+    shards = _row_shards(rows)
+    jobs = [(rep, batch[s], (s.stop - s.start) / rows) for rep, s in zip(replicas, shards)]
+    losses = runner.map(lambda job: _shard_loss(*job), jobs)
+    model = replicas[0]
+    for rep in replicas[1:len(shards)]:
+        for name, t in model.params.items():
+            g = rep.params[name].grad
+            if g is None:
+                continue
+            if t.grad is None:
+                t.grad = g
+            else:
+                t.grad += g
+        rep.zero_grads()
+    return sum(losses)
+
+
 def mean_nll(model: TransformerLM, chunks: np.ndarray, *, batch_size: int = 16,
              max_len: int | None = None) -> float:
-    """Mean per-token negative log-likelihood over (N, len+1) eval chunks."""
+    """Mean per-token negative log-likelihood over (N, len+1) eval chunks.
+
+    Batches run ``SHARDS`` at a time on the shard runner and are summed in
+    batch order, so the result does not depend on how many threads ran them.
+    """
+    parts = [chunks[i:i + batch_size] for i in range(0, len(chunks), batch_size)]
+
+    def nll(part: np.ndarray) -> float:
+        return model.loss(part[:, :-1], part[:, 1:], max_len=max_len).item()
+
     total, count = 0.0, 0
-    for i in range(0, len(chunks), batch_size):
-        part = chunks[i:i + batch_size]
-        loss = model.loss(part[:, :-1], part[:, 1:], max_len=max_len)
-        n_tok = part[:, 1:].size
-        total += loss.item() * n_tok
-        count += n_tok
+    with _ShardRunner(min(SHARDS, len(parts))) as runner:
+        for i in range(0, len(parts), SHARDS):
+            group = parts[i:i + SHARDS]
+            for part, loss in zip(group, runner.map(nll, group)):
+                n_tok = part[:, 1:].size
+                total += loss * n_tok
+                count += n_tok
     return total / count
 
 
@@ -218,8 +335,11 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
 
     Writes to out_dir: train_log.csv (step, loss, lr, grad_norm, the global
     gradient norm before clipping, and wallclock), eval_log.csv (step,
-    eval_loss, eval_ppl), run_meta.json, checkpoint.bin.
-    Fully deterministic for a fixed (seed, config, corpus) on one platform.
+    eval_loss, eval_ppl), run_meta.json (which also records the shard count,
+    the threads that ran the shards and whether BLAS was pinned),
+    checkpoint.bin. Each step runs its row shards as the module docstring
+    describes. Fully deterministic for a fixed (seed, config, corpus) on one
+    platform, whatever the number of threads.
     """
     train_cfg.validate(model_cfg.n_ctx)
     if train_cfg.mask_at is not None and not model_cfg.mask_token:
@@ -237,6 +357,9 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
     model = TransformerLM(model_cfg)
     optimizer = AdamW(model.parameters(), beta1=train_cfg.beta1, beta2=train_cfg.beta2,
                       weight_decay=train_cfg.weight_decay)
+    shards = len(_row_shards(batch_size))
+    replicas = [model] + [model.replica() for _ in range(shards - 1)]
+    runner = _ShardRunner(shards)
 
     with open(os.path.join(train_cfg.out_dir, "run_meta.json"), "w") as fh:
         json.dump({
@@ -248,6 +371,9 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
             "effective_window": model.window,
             "ffn_activation": "tanh_gelu",
             "chunks": {"train": len(train_chunks), "eval": len(eval_chunks)},
+            "shards": shards,
+            "shard_threads": runner.threads,
+            "blas_pinned": runner.blas_pinned,
         }, fh, indent=1)
 
     history: list[tuple[int, float, float]] = []
@@ -261,7 +387,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
         writer.writerow([step, repr(el), repr(math.exp(el))])
         return el
 
-    with open(log_path, "w", newline="") as log_fh, open(eval_path, "w", newline="") as ev_fh:
+    with open(log_path, "w", newline="") as log_fh, open(eval_path, "w", newline="") as ev_fh, \
+            runner:
         log = csv.writer(log_fh)
         log.writerow(["step", "loss", "lr", "grad_norm", "wallclock"])
         ev = csv.writer(ev_fh)
@@ -279,13 +406,10 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
             if train_cfg.mask_at is not None:
                 batch = mask_at_insert(batch, train_cfg.mask_at, model_cfg.n_ctx)
 
-            with Tape() as tape:
-                loss = model.loss(batch[:, :-1], batch[:, 1:])
-            loss_val = loss.item()
+            loss_val = _sharded_grads(replicas, batch, runner)
             if not math.isfinite(loss_val):
                 dump = _dump_divergence(train_cfg.out_dir, step, loss_val, optimizer)
                 raise TrainingDiverged(f"non-finite loss {loss_val} at step {step}; see {dump}")
-            backward(tape, loss)
             grad_norm = optimizer.clip_grads(train_cfg.grad_clip)
             lr = lr_at(step, train_cfg)
             optimizer.step(lr)

@@ -1,6 +1,8 @@
 """Tensor-engine unit tests: op semantics plus finite-difference gradients."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -282,6 +284,71 @@ def test_embedding_and_slice_and_concat_grads():
 
     err = check_grads(build, [table])
     assert err < 1e-6
+
+
+def test_embedding_backward_matches_a_scalar_loop():
+    """Repeated ids sum their rows; ids absent from the batch get zero rows."""
+    rng = np.random.default_rng(18)
+    table = t64(rng.normal(size=(7, 5)))
+    ids = np.array([4, 1, 4, 6, 4, 1, 0])  # 2, 3 and 5 absent; 4 three times
+    g = rng.normal(size=(len(ids), 5))
+    with Tape() as tape:
+        loss = core.sum_all(core.mul(core.embedding(table, ids), t64(g, grad=False)))
+    backward(tape, loss)
+    want = np.zeros_like(table.data)
+    for i, row in enumerate(ids):
+        want[row] += g[i]
+    np.testing.assert_allclose(table.grad, want, rtol=1e-12, atol=0)
+    assert not table.grad[[2, 3, 5]].any()
+
+
+def test_tapes_record_only_their_own_thread():
+    """A tape sees only the ops of the thread that entered it, with more threads than cores."""
+    per_thread, n_threads = 40, 6
+    main = Tape()
+    tapes: dict[int, Tape] = {}
+    start = threading.Barrier(n_threads)
+
+    def work(k):
+        x = t64(np.full((4, 4), float(k)))
+        with Tape() as tape:
+            start.wait(timeout=10)
+            for _ in range(per_thread):
+                x = core.scale(core.add(x, 1.0), 0.5)
+        tapes[k] = tape
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with main:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(main) == 0
+    assert sorted(tapes) == list(range(n_threads))
+    for k, tape in tapes.items():  # one unbroken chain, starting from this thread's input
+        assert len(tape) == 2 * per_thread
+        assert tape.records[0].inputs[0].data[0, 0] == k
+        for prev, rec in zip(tape.records, tape.records[1:]):
+            assert rec.inputs[0] is prev.output
+
+
+@pytest.mark.skipif(not core.BLAS_PINNABLE, reason="numpy's BLAS exposes no thread setter")
+def test_one_blas_thread_restores_the_count_on_exit_and_on_error():
+    get = core._BLAS_THREADS[0]
+    before = get()
+    with core.one_blas_thread():
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(RuntimeError):
+        with core.one_blas_thread():
+            raise RuntimeError("shard failed")
+    assert get() == before
 
 
 def test_add_row_and_gelu_grads():

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -180,35 +181,168 @@ FAULTS_WITH_TRIMMING = 145_000
                                   dict(positional="rope_bias", normalizer="elastic",
                                        tau_init=-1.0)], ids=["softmax", "lazy"])
 def test_training_steps_reuse_freed_heap(over):
-    """A warm twin-config step faults in almost no fresh pages (allocator policy in core)."""
+    """A warm twin-config step faults in almost no fresh pages (allocator policy in core).
+
+    The step is the one ``train`` runs: row shards on the shard runner, whose
+    worker thread allocates too, then clipping and the optimizer.
+    """
     import resource
 
     from conftest import TWIN_MODEL
 
     model = TransformerLM(ModelConfig(**{**TWIN_MODEL, **over}))
     opt = AdamW(model.parameters())
+    replicas = [model] + [model.replica() for _ in range(training.SHARDS - 1)]
     batches = np.random.default_rng(0).integers(0, 256, size=(12, 8, 129))
 
-    def step(batch):
-        with Tape() as tape:
-            loss = model.loss(batch[:, :-1], batch[:, 1:])
-        backward(tape, loss)
-        opt.step(1e-3)
-        opt.zero_grads()
+    with training._ShardRunner(training.SHARDS) as runner:
+        def step(batch):
+            training._sharded_grads(replicas, batch, runner)
+            opt.clip_grads(1.0)
+            opt.step(1e-3)
+            opt.zero_grads()
 
-    for batch in batches[:2]:
-        step(batch)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for batch in batches[2:]:
-        step(batch)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        for batch in batches[:2]:
+            step(batch)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for batch in batches[2:]:
+            step(batch)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 0.1 * FAULTS_WITH_TRIMMING
+
+
+SHARD_MODELS = {
+    "softmax": dict(positional="rope", normalizer="softmax"),
+    "lazy": dict(positional="rope_bias", normalizer="elastic", tau_init=-1.0),
+    "lazy_two_pass": dict(positional="rope_bias", normalizer="elastic", tau_init=-1.0,
+                          attention_path="two_pass", tile=8),
+}
+
+
+def shard_model(kind, dtype="float32"):
+    return TransformerLM(ModelConfig(n_layers=2, d_model=32, n_heads=2, n_ctx=32, window=16,
+                                     dtype=dtype, **SHARD_MODELS[kind]))
+
+
+def sharded_step(model, batch):
+    """Loss, grads and runner thread count of one sharded step, as ``train`` runs it."""
+    with training._ShardRunner(training.SHARDS) as runner:
+        loss = training._sharded_grads([model, model.replica()], batch, runner)
+    grads = {k: t.grad for k, t in model.parameters().items() if t.grad is not None}
+    return loss, grads, runner.threads
+
+
+def test_replica_shares_parameter_arrays_but_not_grads():
+    model = shard_model("lazy")
+    twin = model.replica()
+    for name, t in model.parameters().items():
+        r = twin.parameters()[name]
+        assert r is not t and r.data is t.data and r.requires_grad == t.requires_grad
+    assert [lp["attn.bias_table"] for lp in twin.layers] == twin.bias_table.tables
+    batch = np.random.default_rng(2).integers(0, 256, size=(2, 33))
+    with Tape() as tape:
+        loss = twin.loss(batch[:, :-1], batch[:, 1:])
+    backward(tape, loss)
+    assert all(t.grad is None for t in model.parameters().values())
+    assert twin.parameters()["embed"].grad is not None
+
+
+@pytest.mark.parametrize("kind", list(SHARD_MODELS))
+def test_concurrent_shards_match_shards_run_one_after_another(kind, monkeypatch):
+    """Loss and every gradient are the same bits whether one or two threads ran the shards."""
+    batch = np.random.default_rng(3).integers(0, 256, size=(4, 33))
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    loss2, grads2, threads = sharded_step(shard_model(kind), batch)
+    assert threads == (2 if core.BLAS_PINNABLE else 1)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+    loss1, grads1, threads = sharded_step(shard_model(kind), batch)
+    assert threads == 1
+    assert loss1 == loss2
+    assert grads1.keys() == grads2.keys()
+    for name in grads1:
+        assert np.array_equal(grads1[name], grads2[name]), name
+
+
+@pytest.mark.parametrize("dtype,rows,tol", [("float32", 4, 1e-5), ("float64", 4, 1e-12),
+                                            ("float64", 3, 1e-12)])
+@pytest.mark.parametrize("kind", list(SHARD_MODELS))
+def test_sharded_gradients_match_the_full_batch(kind, dtype, rows, tol):
+    """Shard losses scaled by their row shares sum to the full batch's loss and gradient.
+
+    A 3-row batch splits into 1 + 2 rows; weighting those shards equally
+    would miss the full-batch loss by far more than rounding.
+    """
+    batch = np.random.default_rng(4).integers(0, 256, size=(rows, 33))
+    model = shard_model(kind, dtype)
+    with Tape() as tape:
+        full = model.loss(batch[:, :-1], batch[:, 1:])
+    backward(tape, full)
+    want = {k: t.grad for k, t in model.parameters().items() if t.grad is not None}
+    model.zero_grads()
+    loss, grads, _ = sharded_step(model, batch)
+    assert [s.stop - s.start for s in training._row_shards(rows)] == [rows // 2, rows - rows // 2]
+    assert abs(loss / full.item() - 1) < tol
+    assert grads.keys() == want.keys()
+    for name, g in want.items():
+        assert np.linalg.norm(grads[name] - g) <= tol * np.linalg.norm(g), name
+
+
+def test_one_row_batch_is_one_shard():
+    assert training._row_shards(1) == [slice(0, 1)]
+
+
+def test_mean_nll_sums_concurrent_batches_in_batch_order():
+    """Five batches, two at a time, give the bits of evaluating them one by one."""
+    model = shard_model("lazy")
+    chunks = np.random.default_rng(5).integers(0, 256, size=(9, 33))
+    total, count = 0.0, 0
+    for i in range(0, len(chunks), 2):
+        part = chunks[i:i + 2]
+        total += model.loss(part[:, :-1], part[:, 1:]).item() * part[:, 1:].size
+        count += part[:, 1:].size
+    assert training.mean_nll(model, chunks, batch_size=2) == total / count
+
+
+def test_shard_runner_joins_its_worker_and_restores_blas_when_a_shard_raises(monkeypatch):
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    threads_before = threading.active_count()
+    blas_before = core._BLAS_THREADS[0]() if core.BLAS_PINNABLE else None
+
+    def shard(i):
+        if i == 1:
+            raise ValueError("worker shard failed")
+        return i
+
+    with pytest.raises(ValueError, match="worker shard failed"):
+        with training._ShardRunner(2) as runner:
+            if core.BLAS_PINNABLE:
+                assert core._BLAS_THREADS[0]() == 1
+            runner.map(shard, [0, 1])
+    assert threading.active_count() == threads_before
+    if core.BLAS_PINNABLE:
+        assert core._BLAS_THREADS[0]() == blas_before
+
+
+def test_clip_grads_norm_agrees_with_a_float64_sum():
+    from conftest import TWIN_MODEL
+
+    model = TransformerLM(ModelConfig(**TWIN_MODEL))
+    batch = np.random.default_rng(6).integers(0, 256, size=(8, 129))
+    with Tape() as tape:
+        loss = model.loss(batch[:, :-1], batch[:, 1:])
+    backward(tape, loss)
+    opt = AdamW(model.parameters())
+    want = math.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum())
+                         for _, t in opt.items if t.grad is not None))
+    assert abs(opt.clip_grads(0.0) / want - 1) < 1e-6  # max_norm 0 measures without scaling
 
 
 def test_training_writes_metadata_and_eval(small_corpus_path, tmp_path):
     mc, tc = smoke_cfgs(small_corpus_path, tmp_path / "run", steps=12)
     tc.eval_every = 6
+    threads_before = threading.active_count()
     result = train(mc, tc)
+    assert threading.active_count() == threads_before  # the shard workers are joined
     assert math.isfinite(result.final_eval_loss)
     meta = os.path.join(tc.out_dir, "run_meta.json")
     assert os.path.exists(meta)
@@ -217,6 +351,9 @@ def test_training_writes_metadata_and_eval(small_corpus_path, tmp_path):
     blob = json.load(open(meta))
     assert blob["normalizer"] == mc.normalizer
     assert blob["rope_base"] == mc.rope_base
+    assert blob["shards"] == 2  # 128-token batches of 32-token rows: 4 rows
+    assert blob["blas_pinned"] == core.BLAS_PINNABLE
+    assert blob["shard_threads"] == (min(2, training._usable_cpus()) if core.BLAS_PINNABLE else 1)
     with open(os.path.join(tc.out_dir, "eval_log.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
