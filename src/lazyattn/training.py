@@ -20,8 +20,8 @@ scaled by its share of the rows, and the shard gradients are summed into
 the model's in shard order, which gives the full batch's gradient (Goyal
 et al. 2017, arXiv:1706.02677) up to rounding. A shard computes the same
 bits whichever thread runs it, so a run's bits do not depend on how many
-threads ran the shards. ``mean_nll`` evaluates ``SHARDS`` batches at a time
-the same way and sums them in batch order.
+threads ran the shards. ``mean_nll`` evaluates one batch at a time on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .core import Tape, Tensor, backward
 from .model import BOS_ID, MASK_ID, ModelConfig, TransformerLM, save_checkpoint
 
 NO_DECAY_SUFFIXES = ("attn.tau", "attn.bias_table")
-SHARDS = 2  # row shards per training step, and eval batches per round
+SHARDS = 2  # row shards per training step
 
 
 class ConfigError(ValueError):
@@ -291,22 +291,18 @@ def mean_nll(model: TransformerLM, chunks: np.ndarray, *, batch_size: int = 16,
              max_len: int | None = None) -> float:
     """Mean per-token negative log-likelihood over (N, len+1) eval chunks.
 
-    Batches run ``SHARDS`` at a time on the shard runner and are summed in
-    batch order, so the result does not depend on how many threads ran them.
+    Batches run one at a time on the calling thread. Two batches at a time
+    on the shard runner were ~1.6x faster on an idle 2-core host, but a
+    competing process on one core slowed them by a third, so eval figures
+    swung with the host's load.
     """
-    parts = [chunks[i:i + batch_size] for i in range(0, len(chunks), batch_size)]
-
-    def nll(part: np.ndarray) -> float:
-        return model.loss(part[:, :-1], part[:, 1:], max_len=max_len).item()
-
     total, count = 0.0, 0
-    with _ShardRunner(min(SHARDS, len(parts))) as runner:
-        for i in range(0, len(parts), SHARDS):
-            group = parts[i:i + SHARDS]
-            for part, loss in zip(group, runner.map(nll, group)):
-                n_tok = part[:, 1:].size
-                total += loss * n_tok
-                count += n_tok
+    for i in range(0, len(chunks), batch_size):
+        part = chunks[i:i + batch_size]
+        loss = model.loss(part[:, :-1], part[:, 1:], max_len=max_len)
+        n_tok = part[:, 1:].size
+        total += loss.item() * n_tok
+        count += n_tok
     return total / count
 
 

@@ -291,8 +291,8 @@ def test_one_row_batch_is_one_shard():
     assert training._row_shards(1) == [slice(0, 1)]
 
 
-def test_mean_nll_sums_concurrent_batches_in_batch_order():
-    """Five batches, two at a time, give the bits of evaluating them one by one."""
+def test_mean_nll_sums_batches_in_batch_order():
+    """Five batches give the bits of evaluating them one by one in batch order."""
     model = shard_model("lazy")
     chunks = np.random.default_rng(5).integers(0, 256, size=(9, 33))
     total, count = 0.0, 0
