@@ -57,7 +57,6 @@ from .model import (
     BYTE_VOCAB,
     MASK_ID,
     CheckpointError,
-    ForwardRecord,
     ModelConfig,
     TransformerLM,
     load_checkpoint,

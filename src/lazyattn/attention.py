@@ -522,8 +522,8 @@ class AttentionLayerParams:
 
 def multi_head(x: Tensor, params: AttentionLayerParams, config: AttentionConfig,
                rope_cfg: RopeConfig, positions: np.ndarray, *, batch: int = 1,
-               capture: CaptureBuffer | None = None, meter: AllocationMeter | None = None,
-               value_sink: list | None = None) -> Tensor:
+               capture: CaptureBuffer | None = None,
+               meter: AllocationMeter | None = None) -> Tensor:
     """Project, rotate, attend, and re-project one layer of heads.
 
     ``x`` is the (B*n, d) normalized residual input. Heads share projection
@@ -536,8 +536,6 @@ def multi_head(x: Tensor, params: AttentionLayerParams, config: AttentionConfig,
     if config.positional != "alibi":
         q = apply_rope(q, positions, rope_cfg)
         k = apply_rope(k, positions, rope_cfg)
-    if value_sink is not None:
-        value_sink.append(v.data.copy())
 
     bias = params.bias if config.positional == "rope_bias" else None
     tau = params.tau if config.normalizer.learns_tau else None

@@ -85,7 +85,10 @@ def _cmd_measure_density(args) -> int:
 
     model, _ = load_checkpoint(args.checkpoint)
     tokens = _read_tokens(args.text)
-    n = args.context or model.cfg.n_ctx
+    n = model.cfg.n_ctx if args.context is None else args.context
+    for flag, value in (("--context", n), ("--max-sequences", args.max_sequences)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     n_seq = min(args.max_sequences, len(tokens) // n)
     if n_seq < 1:
         raise ValueError(f"text too short: need at least {n} tokens")

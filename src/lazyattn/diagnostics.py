@@ -2,7 +2,10 @@
 statistics, density/sink measurement, and parameter exports.
 
 Everything here runs forward-only on a loaded checkpoint and writes CSV;
-outputs are deterministic for a fixed checkpoint and input.
+outputs are deterministic for a fixed checkpoint and input. Every
+analysis and export CSV format lives here. The model is observed through
+the forward pass's weight capture, or by running the embedding and blocks
+here, so the model and attention code carry no diagnostics-only hooks.
 """
 
 from __future__ import annotations
@@ -13,11 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .attention import CaptureBuffer
-from .model import TransformerLM, ForwardRecord
-from .normalizers import density_and_sink, write_offsets_csv
-from .positional import write_bias_csv
+from .model import TransformerLM
+from .normalizers import density_and_sink
 from .training import mean_nll
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 @dataclass
@@ -29,12 +39,10 @@ class AttnStats:
     sink_pct: float
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["layer", "head", "density_pct", "sink_pct"])
-            for (layer, head), (dens, sink) in sorted(self.per_head.items()):
-                w.writerow([layer, head, repr(dens), repr(sink)])
-            w.writerow(["mean", "mean", repr(self.density_pct), repr(self.sink_pct)])
+        rows = [[layer, head, repr(dens), repr(sink)]
+                for (layer, head), (dens, sink) in sorted(self.per_head.items())]
+        rows.append(["mean", "mean", repr(self.density_pct), repr(self.sink_pct)])
+        _write_csv(path, ["layer", "head", "density_pct", "sink_pct"], rows)
 
 
 def eval_ppl(model: TransformerLM, tokens: np.ndarray, lengths: list[int], *,
@@ -49,6 +57,8 @@ def eval_ppl(model: TransformerLM, tokens: np.ndarray, lengths: list[int], *,
     tokens = np.asarray(tokens).reshape(-1)
     results = []
     for length in lengths:
+        if length < 1:
+            raise ValueError(f"eval length must be >= 1, got {length}")
         span = length + 1
         n_win = len(tokens) // span
         if n_win < 1:
@@ -62,11 +72,8 @@ def eval_ppl(model: TransformerLM, tokens: np.ndarray, lengths: list[int], *,
 
 
 def write_ppl_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["length", "ppl", "nll", "windows"])
-        for r in rows:
-            w.writerow([r["length"], repr(r["ppl"]), repr(r["nll"]), r["windows"]])
+    _write_csv(path, ["length", "ppl", "nll", "windows"],
+               ([r["length"], repr(r["ppl"]), repr(r["nll"]), r["windows"]] for r in rows))
 
 
 @dataclass
@@ -83,11 +90,8 @@ class ProbeResult:
         return max(self.scores.values())
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["layer", "head", "invariance_score"])
-            for (layer, head), s in sorted(self.scores.items()):
-                w.writerow([layer, head, repr(s)])
+        _write_csv(path, ["layer", "head", "invariance_score"],
+                   ([layer, head, repr(s)] for (layer, head), s in sorted(self.scores.items())))
 
 
 def translation_invariance(weights: np.ndarray, min_row: int = 2) -> float:
@@ -110,6 +114,8 @@ def translation_invariance(weights: np.ndarray, min_row: int = 2) -> float:
     n = weights.shape[0]
     if n < 2:
         raise ValueError("need at least two queries to compare shifted weights")
+    if min_row < 1:
+        raise ValueError(f"min_row must be >= 1, got {min_row}")
     lo = min(min_row, n - 1)  # 1-based first row of each compared pair
     best = 0.0
     for i in range(lo, n):  # 1-based; compares row i with row i+1
@@ -150,38 +156,40 @@ def sink_variance_report(model: TransformerLM, tokens: np.ndarray, *,
     """Per-position value-vector and hidden-state norm/variance per layer.
 
     ``tokens`` is a single sequence; the report covers its first
-    ``n_positions`` positions. Variance is the population variance of the
+    ``n_positions`` positions. The hidden state is the block's input and
+    the value is its attention's value projection, computed with the same
+    ops the block runs. Variance is the population variance of the
     vector's elements.
     """
     tokens = np.asarray(tokens).reshape(-1)
+    if n_positions < 1:
+        raise ValueError(f"n_positions must be >= 1, got {n_positions}")
     if len(tokens) < n_positions:
         raise ValueError(f"need at least {n_positions} tokens, got {len(tokens)}")
-    record = ForwardRecord()
-    model.lm_forward(tokens[None, :], max_len=len(tokens), record=record)
+    positions = np.arange(len(tokens))
+    x = core.embedding(model.params["embed"], tokens)
     rows = []
-    for layer in range(model.cfg.n_layers):
-        hid = record.hidden[layer][0].astype(np.float64)
-        val = record.values[layer][0].astype(np.float64)
-        for pos in range(n_positions):
-            v, x = val[pos], hid[pos]
+    for layer, lp in enumerate(model.layers):
+        value = core.matmul(core.layernorm(x, lp["ln1.gain"], lp["ln1.bias"]), lp["attn.wv"])
+        hid = x.data[:n_positions].astype(np.float64)
+        val = value.data[:n_positions].astype(np.float64)
+        x = model.block_forward(x, layer, positions)
+        for pos, (v, h) in enumerate(zip(val, hid)):
             rows.append({
                 "layer": layer,
                 "position": pos,
                 "v_norm": float(np.linalg.norm(v)),
                 "v_var": float(((v - v.mean()) ** 2).mean()),
-                "hidden_norm": float(np.linalg.norm(x)),
-                "hidden_var": float(((x - x.mean()) ** 2).mean()),
+                "hidden_norm": float(np.linalg.norm(h)),
+                "hidden_var": float(((h - h.mean()) ** 2).mean()),
             })
     return rows
 
 
 def write_sink_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["layer", "position", "v_norm", "v_var", "hidden_norm", "hidden_var"])
-        for r in rows:
-            w.writerow([r["layer"], r["position"], repr(r["v_norm"]), repr(r["v_var"]),
-                        repr(r["hidden_norm"]), repr(r["hidden_var"])])
+    _write_csv(path, ["layer", "position", "v_norm", "v_var", "hidden_norm", "hidden_var"],
+               ([r["layer"], r["position"], repr(r["v_norm"]), repr(r["v_var"]),
+                 repr(r["hidden_norm"]), repr(r["hidden_var"])] for r in rows))
 
 
 def measure_density(model: TransformerLM, token_batch: np.ndarray,
@@ -202,22 +210,23 @@ def write_weights_csv(capture: CaptureBuffer, path, *, sequence: int = 0) -> Non
 
     i and j are 1-based query/key positions; only j <= i is emitted.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["layer", "head", "i", "j", "alpha"])
-        for layer, arr in enumerate(capture.layers):
-            for head in range(arr.shape[1]):
-                mat = arr[sequence, head]
-                for i in range(mat.shape[0]):
-                    for j in range(i + 1):
-                        w.writerow([layer, head, i + 1, j + 1, repr(float(mat[i, j]))])
+    _write_csv(path, ["layer", "head", "i", "j", "alpha"],
+               ([layer, head, i + 1, j + 1, repr(float(mat[i, j]))]
+                for layer, arr in enumerate(capture.layers)
+                for head, mat in enumerate(arr[sequence])
+                for i in range(mat.shape[0]) for j in range(i + 1)))
 
 
 def export_bias(model: TransformerLM, path) -> None:
     """CSV of every learnable distance bias: layer, head, distance, bias."""
-    write_bias_csv(model.bias_table, path)
+    _write_csv(path, ["layer", "head", "distance", "bias"],
+               ([layer, head, dist, repr(float(b))]
+                for layer, t in enumerate(model.bias_table.tables)
+                for head, row in enumerate(t.data) for dist, b in enumerate(row)))
 
 
 def export_offsets(model: TransformerLM, path) -> None:
     """CSV of every elastic offset: layer, head, tau."""
-    write_offsets_csv(model.taus(), path)
+    _write_csv(path, ["layer", "head", "tau"],
+               ([layer, head, repr(float(tau))]
+                for layer, taus in enumerate(model.taus()) for head, tau in enumerate(taus)))

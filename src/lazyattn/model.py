@@ -8,6 +8,11 @@ distance-bias and offset parameters even when a mode ignores them, so
 models built from the same seed share every random draw and differ only in
 how the attention uses the parameters.
 
+The forward pass threads two optional observers down to the attention:
+``capture`` collects each layer's weights and ``meter`` the two-pass path's
+auxiliary bytes. Analyses that read other intermediates, such as block
+inputs, run ``block_forward`` layer by layer themselves.
+
 Checkpoints are a single file: magic, a little-endian u32 header length, a
 human-readable JSON manifest (config, step, metrics, parameter layout,
 provenance notes), then the flat little-endian parameter arrays in
@@ -20,7 +25,7 @@ import copy
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,14 +114,6 @@ class ModelConfig:
         return RopeConfig(head_dim=self.head_dim, base=self.rope_base)
 
 
-@dataclass
-class ForwardRecord:
-    """Per-layer forward-pass observations for the sink statistics report."""
-
-    hidden: list[np.ndarray] = field(default_factory=list)  # block inputs, (B, n, d)
-    values: list[np.ndarray] = field(default_factory=list)  # value projections, (B, n, d)
-
-
 class TransformerLM:
     """Stack of pre-LN attention/FFN blocks over a byte vocabulary."""
 
@@ -189,9 +186,6 @@ class TransformerLM:
         twin.bias_table.tables = [lp["attn.bias_table"] for lp in twin.layers]
         return twin
 
-    def trainable(self) -> dict[str, Tensor]:
-        return {k: t for k, t in self.params.items() if t.requires_grad}
-
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.grad = None
@@ -208,13 +202,12 @@ class TransformerLM:
 
     def block_forward(self, x: Tensor, li: int, positions: np.ndarray, *, batch: int = 1,
                       capture: CaptureBuffer | None = None,
-                      meter: AllocationMeter | None = None,
-                      value_sink: list | None = None) -> Tensor:
+                      meter: AllocationMeter | None = None) -> Tensor:
         """One residual block: x + MHA(LN(x)), then x + FFN(LN(x))."""
         lp = self.layers[li]
         h = core.layernorm(x, lp["ln1.gain"], lp["ln1.bias"])
         a = multi_head(h, self._layer_params(li), self.attn_cfg, self.rope_cfg, positions,
-                       batch=batch, capture=capture, meter=meter, value_sink=value_sink)
+                       batch=batch, capture=capture, meter=meter)
         x = core.add(x, a)
         h2 = core.layernorm(x, lp["ln2.gain"], lp["ln2.bias"])
         f = core.add_row(core.matmul(h2, lp["ffn.w1"]), lp["ffn.b1"])
@@ -224,7 +217,6 @@ class TransformerLM:
 
     def lm_forward(self, ids: np.ndarray, *, max_len: int | None = None,
                    capture: CaptureBuffer | None = None,
-                   record: ForwardRecord | None = None,
                    meter: AllocationMeter | None = None) -> Tensor:
         """Causal next-token logits for a (B, n) or (n,) batch of token ids.
 
@@ -246,14 +238,7 @@ class TransformerLM:
         positions = np.tile(np.arange(n), b)
         x = core.embedding(self.params["embed"], ids.reshape(-1))
         for li in range(self.cfg.n_layers):
-            value_sink = None
-            if record is not None:
-                record.hidden.append(x.data.reshape(b, n, -1).copy())
-                value_sink = []
-            x = self.block_forward(x, li, positions, batch=b, capture=capture, meter=meter,
-                                   value_sink=value_sink)
-            if record is not None:
-                record.values.append(value_sink[0].reshape(b, n, -1))
+            x = self.block_forward(x, li, positions, batch=b, capture=capture, meter=meter)
         x = core.layernorm(x, self.params["final_ln.gain"], self.params["final_ln.bias"])
         return core.matmul(x, self.params["unembed"])
 

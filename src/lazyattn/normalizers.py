@@ -19,7 +19,6 @@ scores against keys 1..i. Offset variants:
 
 from __future__ import annotations
 
-import csv
 import enum
 
 import numpy as np
@@ -181,13 +180,3 @@ def density_and_sink(layer_weights: list[np.ndarray]):
             densities.append(float(dens_bh[head]))
             sinks.append(float(sink_bh[head]))
     return per_head, 100.0 * float(np.mean(densities)), 100.0 * float(np.mean(sinks))
-
-
-def write_offsets_csv(taus: list[np.ndarray], path) -> None:
-    """Write per-(layer, head) offsets as CSV: layer, head, tau."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["layer", "head", "tau"])
-        for layer, t in enumerate(taus):
-            for head, val in enumerate(np.asarray(t).reshape(-1)):
-                w.writerow([layer, head, repr(float(val))])

@@ -10,7 +10,6 @@ biases.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -92,43 +91,18 @@ class BiasTable:
     """Per-layer, per-head learnable bias over relative distance.
 
     Each layer holds an (n_heads, window + 1) parameter; index 0 is the
-    self-distance and lookups beyond the window return exactly 0 and carry
-    no gradient. Tables start at zero so the score formula degenerates to
-    plain rotary attention until training moves them.
+    self-distance, and distances beyond the window get a bias of exactly 0
+    and carry no gradient. Tables start at zero so the score formula
+    degenerates to plain rotary attention until training moves them.
     """
 
     def __init__(self, n_layers: int, n_heads: int, window: int, dtype="float32"):
         if window < 0:
             raise ValueError("window must be non-negative")
-        self.n_layers = n_layers
-        self.n_heads = n_heads
-        self.window = window
         self.tables = [
             Tensor(np.zeros((n_heads, window + 1)), requires_grad=True, dtype=dtype)
             for _ in range(n_layers)
         ]
-
-    def lookup(self, layer: int, head: int, dist: int) -> float:
-        if dist < 0:
-            raise ValueError("distance must be non-negative")
-        if dist > self.window:
-            return 0.0
-        return float(self.tables[layer].data[head, dist])
-
-    def rows(self):
-        """Yield (layer, head, distance, bias) for CSV export."""
-        for layer, t in enumerate(self.tables):
-            for head in range(self.n_heads):
-                for dist in range(self.window + 1):
-                    yield layer, head, dist, float(t.data[head, dist])
-
-
-def write_bias_csv(table: BiasTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["layer", "head", "distance", "bias"])
-        for row in table.rows():
-            w.writerow([row[0], row[1], row[2], repr(row[3])])
 
 
 def alibi_slope(head: int, n_heads: int) -> float:

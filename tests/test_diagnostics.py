@@ -27,6 +27,14 @@ def small_model(seed=0, **over):
     return TransformerLM(ModelConfig(seed=seed, **{**SMALL, **over}))
 
 
+def layer0_oracle(model, tokens):
+    """Layer 0's block input embed[tokens] and its value LN1(x) @ wv, in float64 numpy."""
+    lp = model.layers[0]
+    x = model.params["embed"].data[tokens].astype(np.float64)
+    xhat = (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
+    return x, (xhat * lp["ln1.gain"].data + lp["ln1.bias"].data) @ lp["attn.wv"].data
+
+
 def test_eval_ppl_single_length_matches_plain_eval(small_corpus_path):
     model = small_model(normalizer="softmax")
     tokens = tokenize_bytes(small_corpus_path.read_bytes())[:8000]
@@ -134,19 +142,38 @@ def test_sink_variance_natural_text_varies(small_corpus_path):
 
 
 def test_sink_variance_matches_two_pass_oracle():
-    model = small_model(seed=12)
+    model = small_model(seed=12, dtype="float64")
     rng = np.random.default_rng(13)
     tokens = rng.integers(0, 256, size=20)
     rows = sink_variance_report(model, tokens, n_positions=15)
-    from lazyattn.model import ForwardRecord
+    hidden, values = layer0_oracle(model, tokens)
+    layer0 = [r for r in rows if r["layer"] == 0]
+    assert [r["position"] for r in layer0] == list(range(15))
+    for r in layer0:
+        v, x = values[r["position"]], hidden[r["position"]]
+        assert abs(r["v_var"] - two_pass_variance(v)) < 1e-12
+        assert abs(r["hidden_var"] - two_pass_variance(x)) < 1e-12
+        assert math.isclose(r["v_norm"], np.linalg.norm(v), rel_tol=1e-12)
+        assert math.isclose(r["hidden_norm"], np.linalg.norm(x), rel_tol=1e-12)
 
-    rec = ForwardRecord()
-    model.lm_forward(tokens[None, :], record=rec)
-    for r in rows[:6]:
-        v = rec.values[r["layer"]][0, r["position"]].astype(np.float64)
-        x = rec.hidden[r["layer"]][0, r["position"]].astype(np.float64)
-        assert abs(r["v_var"] - two_pass_variance(v)) < 1e-9
-        assert abs(r["hidden_var"] - two_pass_variance(x)) < 1e-9
+
+def test_sink_variance_two_pass_matches_naive():
+    """Rows cover every (layer, position) in order; a tiled model (tile < n) matches naive."""
+    tokens = np.random.default_rng(21).integers(0, 256, size=12)
+    naive = sink_variance_report(small_model(seed=20), tokens, n_positions=12)
+    tiled = sink_variance_report(small_model(seed=20, attention_path="two_pass", tile=5),
+                                 tokens, n_positions=12)
+    keys = [(layer, pos) for layer in range(2) for pos in range(12)]
+    assert [(r["layer"], r["position"]) for r in naive] == keys
+    assert [(r["layer"], r["position"]) for r in tiled] == keys
+    for a, b in zip(naive, tiled):
+        for key in ("v_norm", "v_var", "hidden_norm", "hidden_var"):
+            assert abs(a[key] - b[key]) <= 1e-5 * max(1.0, abs(a[key])), (a, key)
+    hidden, values = layer0_oracle(small_model(seed=20), tokens)  # the float32 path too
+    for r in naive[:12]:
+        assert math.isclose(r["v_norm"], np.linalg.norm(values[r["position"]]), rel_tol=1e-5)
+        assert math.isclose(r["hidden_norm"], np.linalg.norm(hidden[r["position"]]),
+                            rel_tol=1e-6)
 
 
 def test_sink_variance_needs_enough_tokens():
@@ -178,6 +205,25 @@ def test_export_offsets_fresh_model_minus_one(tmp_path):
         by_layer.setdefault(int(r["layer"]), []).append(float(r["tau"]))
     for layer, vals in by_layer.items():
         assert abs(np.mean(vals) - model.taus()[layer].mean()) < 1e-7
+
+
+@pytest.mark.parametrize("dtype, tenth", [("float32", "0.10000000149011612"),
+                                          ("float64", "0.1")])
+def test_export_csv_golden_format(tmp_path, dtype, tenth):
+    """Header, row order and repr(float) of both export files, pinned as text."""
+    model = TransformerLM(ModelConfig(n_layers=2, d_model=8, n_heads=2, n_ctx=4, window=1,
+                                      dtype=dtype))
+    model.bias_table.tables[0].data[:] = [[0.5, -0.25], [0.1, 0.0]]
+    model.bias_table.tables[1].data[:] = [[-1.5, 2.0], [3.0, 0.75]]
+    model.layers[0]["attn.tau"].data[:] = [-1.0, -0.5]
+    model.layers[1]["attn.tau"].data[:] = [0.1, 0.25]
+    export_bias(model, tmp_path / "bias.csv")
+    export_offsets(model, tmp_path / "tau.csv")
+    bias = ["layer,head,distance,bias", "0,0,0,0.5", "0,0,1,-0.25", f"0,1,0,{tenth}",
+            "0,1,1,0.0", "1,0,0,-1.5", "1,0,1,2.0", "1,1,0,3.0", "1,1,1,0.75"]
+    tau = ["layer,head,tau", "0,0,-1.0", "0,1,-0.5", f"1,0,{tenth}", "1,1,0.25"]
+    assert (tmp_path / "bias.csv").read_bytes() == "".join(f"{r}\r\n" for r in bias).encode()
+    assert (tmp_path / "tau.csv").read_bytes() == "".join(f"{r}\r\n" for r in tau).encode()
 
 
 def test_exports_deterministic(tmp_path):
@@ -268,3 +314,29 @@ def test_cli_diagnostic_subcommands(small_corpus_path, tmp_path):
     # contract errors exit nonzero
     assert main(["eval", "--checkpoint", str(ckpt), "--text", str(text),
                  "--lengths", "999999", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("command, args, name", [
+    ("eval", ["--lengths", "-1"], "eval length"),
+    ("eval", ["--lengths", "0"], "eval length"),
+    ("measure-density", ["--context", "0"], "--context"),
+    ("measure-density", ["--max-sequences", "0"], "--max-sequences"),
+    ("stats-sink", ["--positions", "0"], "n_positions"),
+    ("stats-sink", ["--positions", "-2"], "n_positions"),
+    ("probe-repeat", ["--min-row", "0"], "min_row"),
+    ("probe-repeat", ["--min-row", "-3"], "min_row"),
+])
+def test_cli_rejects_nonpositive_sizes(tmp_path, capsys, command, args, name):
+    from lazyattn.cli import main
+    from lazyattn.model import save_checkpoint
+
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(small_model(seed=22), ckpt)
+    text = tmp_path / "text.bin"
+    text.write_bytes(bytes(range(256)) * 4)
+    inputs = [] if command == "probe-repeat" else ["--text", str(text)]
+    out = tmp_path / "out.csv"
+    assert main([command, "--checkpoint", str(ckpt), *inputs, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err, err
+    assert not out.exists()

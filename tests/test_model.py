@@ -323,10 +323,14 @@ def test_ablation_identity_frozen_bias_equals_rope_only():
 
 
 def test_frozen_parameters_not_trainable():
+    from lazyattn.training import AdamW
+
     model = tiny_model(freeze_tau=True, freeze_bias=True)
-    trainable = model.trainable()
-    assert not any(k.endswith("attn.tau") for k in trainable)
-    assert not any(k.endswith("attn.bias_table") for k in trainable)
+    params = model.parameters()
+    frozen = {k for k, t in params.items() if not t.requires_grad}
+    assert frozen == {f"layer{li}.attn.{name}" for li in range(model.cfg.n_layers)
+                      for name in ("tau", "bias_table")}
+    assert [k for k, _ in AdamW(params).items] == [k for k in params if k not in frozen]
 
 
 def test_two_pass_model_matches_naive_model():
@@ -335,15 +339,3 @@ def test_two_pass_model_matches_naive_model():
     naive = tiny_model(seed=19, attention_path="naive")
     tiled = tiny_model(seed=19, attention_path="two_pass", tile=5)
     assert np.abs(naive.lm_forward(ids).data - tiled.lm_forward(ids).data).max() < 1e-5
-
-
-def test_forward_record_collects_layer_tensors():
-    from lazyattn.model import ForwardRecord
-
-    model = tiny_model(seed=20)
-    rec = ForwardRecord()
-    ids = rand_ids(np.random.default_rng(21), 1, 12)
-    model.lm_forward(ids, record=rec)
-    assert len(rec.hidden) == 2 and len(rec.values) == 2
-    assert rec.hidden[0].shape == (1, 12, 16)
-    assert rec.values[0].shape == (1, 12, 16)

@@ -1,0 +1,43 @@
+"""Smoke test of the names the benchmark harness in ``perfbench/`` reaches.
+
+``perfbench.spans.Tracer`` wraps lazyattn functions and methods by name and
+passes ``capture=``/``meter=`` down the forward pass. Installing it around
+a one-step two-pass training run and a metered forward makes a rename of
+any of those names fail here instead of at the next benchmark run.
+"""
+
+import pathlib
+import sys
+
+import numpy as np
+
+import lazyattn
+from lazyattn import diagnostics, training
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from perfbench import spans  # noqa: E402
+
+
+def test_tracer_wraps_a_two_pass_step_and_a_metered_forward(small_corpus_path, tmp_path):
+    mc = lazyattn.ModelConfig(n_layers=2, d_model=32, n_heads=2, n_ctx=32, window=16,
+                              attention_path="two_pass", tile=8)
+    tc = lazyattn.TrainConfig(corpus=str(small_corpus_path), out_dir=str(tmp_path / "run"),
+                              steps=1, batch_tokens=128, warmup=0, eval_every=0)
+    ids = np.random.default_rng(0).integers(0, 256, size=(2, 32))
+    capture, meter = lazyattn.CaptureBuffer(), lazyattn.AllocationMeter()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = training.train(mc, tc)
+        model, _ = lazyattn.load_checkpoint(result.checkpoint)
+        model.lm_forward(ids, capture=capture, meter=meter)
+        diagnostics.measure_density(model, ids, capture=lazyattn.CaptureBuffer())
+    finally:
+        tracer.uninstall()
+    assert tracer.meter.peak > 0  # the training step's two-pass calls got the tracer's meter
+    assert meter.peak > 0 and len(capture.layers) == mc.n_layers
+    names = {span[0] for span in tracer.spans}
+    assert {"training.train", "model.loss", "core.backward", "training.opt.step",
+            "attention.attend_two_pass.fwd", "model.save_checkpoint",
+            "diagnostics.measure_density", "normalizers.density_and_sink"} <= names
+    assert spans.per_layer(tracer, rounds=1)["training.step_ms"] > 0

@@ -110,15 +110,15 @@ def test_apply_rope_gradient():
     assert err < 1e-6
 
 
-def test_bias_lookup_window_and_init():
+def test_bias_table_starts_at_zero():
+    """Zero-initialised (heads, window + 1) tables; the window cutoff is tested below."""
     table = BiasTable(n_layers=2, n_heads=3, window=5)
-    assert table.lookup(0, 0, 6) == 0.0  # outside the window
-    assert all(table.lookup(l, h, d) == 0.0
-               for l in range(2) for h in range(3) for d in range(6))
-    table.tables[1].data[2, 4] = -0.25
-    assert table.lookup(1, 2, 4) == -0.25
+    assert len(table.tables) == 2
+    for t in table.tables:
+        assert t.shape == (3, 6) and t.requires_grad
+        assert np.all(t.data == 0.0)
     with pytest.raises(ValueError):
-        table.lookup(0, 0, -1)
+        BiasTable(n_layers=1, n_heads=1, window=-1)
 
 
 def test_distance_bias_matrix_and_grad_roundtrip():
