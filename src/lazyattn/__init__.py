@@ -28,18 +28,12 @@ from .core import (
 from .positional import (
     BiasTable,
     RopeConfig,
-    alibi_bias,
     alibi_slope,
     apply_rope,
-    rope_freq,
 )
 from .normalizers import (
     NormalizerMode,
     density_and_sink,
-    elastic_row,
-    elastic_weights,
-    fixed_offset_row,
-    global_offset_row,
     sparsemax_row,
 )
 from .attention import (
@@ -50,7 +44,6 @@ from .attention import (
     attend_naive,
     attend_two_pass,
     multi_head,
-    scores,
 )
 from .model import (
     BOS_ID,

@@ -12,10 +12,10 @@ keeps auxiliary memory linear in sequence length for a fixed tile size.
 The backward rebuilds each block from those statistics instead of
 storing the full matrix.
 
-Both paths, and ``scores``, read position biases through one helper: a
-learned table or the fixed ALiBi decay becomes a distance table, looked
-up through a cached distance index per row tile (the naive path's tile is
-the whole square), and score gradients fold back through the same index.
+Both paths read position biases through one helper: a learned table or
+the fixed ALiBi decay becomes a distance table, looked up through a
+cached distance index per row tile (the naive path's tile is the whole
+square), and score gradients fold back through the same index.
 
 Sparsemax needs globally sorted rows, which does not stream; it is
 supported on the naive path only.
@@ -200,8 +200,8 @@ def _row_distances(r0: int, r1: int, window: int) -> np.ndarray:
 def _row_bias(table: np.ndarray, window: int, r0: int, r1: int) -> np.ndarray:
     """(H, r1-r0, r1) additive score bias for query rows [r0, r1), keys [0, r1).
 
-    ``table`` comes from ``_distance_table``; the naive path and ``scores``
-    take the whole square as one row tile (r0 = 0, r1 = n).
+    ``table`` comes from ``_distance_table``; the naive path takes the whole
+    square as one row tile (r0 = 0, r1 = n).
     """
     return np.take(table, _row_distances(r0, r1, window), axis=1)
 
@@ -239,40 +239,6 @@ def _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau: Tensor | None, batch: int,
     if dtau_h is not None:
         grads.append(dtau_h.astype(dq3.dtype).reshape(tau.shape))
     return tuple(grads)
-
-
-def scores(q: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Single-head causal score matrix: <q_i, k_j>/sqrt(d_h) + bias[i-j].
-
-    Inputs are already position-rotated. The upper triangle is zeroed here
-    and masked again by every normalizer, so no gradient crosses it. The
-    optional ``bias`` is a 1-D learnable distance table; distances beyond
-    its window contribute exactly 0 and receive no gradient.
-    """
-    if q.ndim != 2 or q.shape != k.shape:
-        raise ShapeError(f"scores: expected matching (n, d_h) inputs, got {q.shape} and {k.shape}")
-    n, dh = q.shape
-    sc = 1.0 / math.sqrt(dh)
-    lower = _lower_mask(n)
-    s = (q.data @ k.data.T) * sc
-    if bias is not None:
-        if bias.ndim != 1:
-            raise ShapeError("scores: bias must be a 1-D distance table")
-        table, window = _distance_table(bias.data[None])
-        s = s + _row_bias(table, window, 0, n)[0]
-    s = np.where(lower, s, 0.0)
-    inputs = (q, k) if bias is None else (q, k, bias)
-    out = Tensor(s, requires_grad=any(t.requires_grad for t in inputs))
-
-    def vjp(g):
-        gm = g * lower
-        dq = (gm @ k.data) * sc
-        dk = (gm.T @ q.data) * sc
-        if bias is None:
-            return dq, dk
-        return dq, dk, _row_bias_grad(gm[None], window, 0)[0]
-
-    return record_op(out, inputs, vjp)
 
 
 def _normalize_full(s: np.ndarray, kind: str, off: np.ndarray | None, lower: np.ndarray):

@@ -58,6 +58,8 @@ def _cmd_probe_repeat(args) -> int:
 
 
 def _cmd_stats_sink(args) -> int:
+    if args.length < 1:
+        raise ValueError(f"--length must be >= 1, got {args.length}")
     model, _ = load_checkpoint(args.checkpoint)
     tokens = _read_tokens(args.text)[: args.length]
     rows = diagnostics.sink_variance_report(model, tokens, n_positions=args.positions)

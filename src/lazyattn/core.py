@@ -396,22 +396,11 @@ def gelu(x: Tensor) -> Tensor:
     return record_op(out, (x,), vjp)
 
 
-def softmax_lastdim(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-stable softmax over the last axis.
-
-    ``mask`` (optional, boolean, same shape, True = excluded) zeroes masked
-    entries; they receive no probability mass and no gradient. A fully
-    masked row raises, since no distribution exists for it.
-    """
+def softmax_lastdim(x: Tensor) -> Tensor:
+    """Row-stable softmax over the last axis."""
     xd = x.data
     if xd.shape[-1] < 1:
         raise ShapeError("softmax_lastdim: last dimension must be >= 1")
-    if mask is not None:
-        if mask.shape != xd.shape:
-            raise ShapeError("softmax_lastdim: mask shape must match input")
-        if np.any(mask.all(axis=-1)):
-            raise ValueError("softmax_lastdim: a row is fully masked")
-        xd = np.where(mask, -np.inf, xd)
     m = xd.max(axis=-1, keepdims=True)
     e = np.exp(xd - m)
     s = e.sum(axis=-1, keepdims=True)

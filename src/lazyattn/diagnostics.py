@@ -139,6 +139,8 @@ def probe_repeated(model: TransformerLM, token_id: int, n: int, *, min_row: int 
     normalizers to converge; see ``translation_invariance`` for the row
     exclusion rule.
     """
+    if n < 2:
+        raise ValueError(f"probe length n must be >= 2, got {n}")
     if token_id < 0 or token_id >= model.cfg.vocab_size:
         raise ValueError(f"token id {token_id} outside the vocabulary")
     capture = CaptureBuffer()

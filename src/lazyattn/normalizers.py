@@ -2,19 +2,25 @@
 
 The standard softmax forces every causal row to a probability
 distribution, so mass lands somewhere even when nothing is relevant. The
-rectified-offset variants here relax that: weights are softmax plus an
+rectified-offset variants relax that: weights are softmax plus an
 offset, clipped at zero, and are NOT renormalized afterwards, so
 irrelevant rows can vanish entirely. The offset tau is unconstrained: with
 tau <= 0 every weight is at most its softmax probability and a row sums
 to at most 1, while tau > 0 lifts every weight and a row can sum above 1.
 
 Row conventions: a causal row for query index i (1-based) holds the i
-scores against keys 1..i. Offset variants:
+scores against keys 1..i. The ``NormalizerMode`` values, whose rows the
+attention paths compute:
 
-  elastic_row        relu(softmax(s) + tau / i)   learnable tau per head
-  global_offset_row  relu(softmax(s) + tau)       learnable, no 1/i split
-  fixed_offset_row   relu(softmax(s) - 1 / i)     constant
-  sparsemax_row      euclidean projection of s onto the simplex
+  softmax         softmax(s)
+  elastic         relu(softmax(s) + tau / i)   learnable tau per head
+  elastic_global  relu(softmax(s) + tau)       learnable, no 1/i split
+  fixed           relu(softmax(s) - 1 / i)     constant
+  sparsemax       euclidean projection of s onto the simplex (``sparsemax_row``)
+
+Under ``elastic`` with uniform scores and tau = -1 the softmax mass 1/i
+cancels the offset exactly and the whole row rectifies to zero; the first
+query's output is then carried by the residual path alone.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-
-from .core import Tensor, record_op
 
 
 class NormalizerMode(enum.Enum):
@@ -34,7 +38,6 @@ class NormalizerMode(enum.Enum):
     ELASTIC_GLOBAL = "elastic_global"
     ELASTIC_PER_QUERY = "elastic"
     FIXED_PER_QUERY = "fixed"
-    # room kept for an entmax variant; intentionally not implemented
 
     @classmethod
     def parse(cls, value) -> "NormalizerMode":
@@ -60,42 +63,6 @@ class NormalizerMode(enum.Enum):
     @property
     def learns_tau(self) -> bool:
         return self in (NormalizerMode.ELASTIC_GLOBAL, NormalizerMode.ELASTIC_PER_QUERY)
-
-
-def stable_softmax(scores: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax of a 1-D score vector."""
-    z = scores - scores.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def elastic_row(scores, i: int, tau: float) -> np.ndarray:
-    """relu(softmax(scores) + tau / i) for a causal row of length i.
-
-    With uniform scores and tau = -1 the softmax mass 1/i cancels the
-    offset exactly and the whole row rectifies to zero; in particular the
-    first query (i = 1) gets zero weight on its sole token and its output
-    is carried by the residual path alone.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if i < 1:
-        raise ValueError("query index i must be >= 1")
-    if scores.ndim != 1 or scores.shape[0] != i:
-        raise ValueError(f"expected {i} scores for query {i}, got shape {scores.shape}")
-    return np.maximum(stable_softmax(scores) + tau / i, 0.0)
-
-
-def fixed_offset_row(scores, i: int) -> np.ndarray:
-    """Constant-offset variant: elastic row with tau frozen at -1."""
-    return elastic_row(scores, i, -1.0)
-
-
-def global_offset_row(scores, tau: float) -> np.ndarray:
-    """relu(softmax(scores) + tau); the offset ignores the query index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.shape[0] < 1:
-        raise ValueError("scores must be a non-empty vector")
-    return np.maximum(stable_softmax(scores) + tau, 0.0)
 
 
 def sparsemax_row(scores) -> np.ndarray:
@@ -124,34 +91,6 @@ def sparsemax_vjp(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
     out = np.zeros_like(g)
     out[supp] = g[supp] - g[supp].sum() / ns
     return out
-
-
-def elastic_weights(scores: Tensor, tau: Tensor) -> Tensor:
-    """Differentiable elastic row over a 1-D score tensor.
-
-    Gradient flows to the scores through the active (unclipped) entries and
-    to tau with sensitivity 1/i per active entry.
-    """
-    if scores.ndim != 1 or scores.size < 1:
-        raise ValueError("scores must be a non-empty vector tensor")
-    if tau.size != 1:
-        raise ValueError("tau must be a scalar tensor")
-    i = scores.size
-    z = scores.data - scores.data.max()
-    e = np.exp(z)
-    p = e / e.sum()
-    pre = p + tau.data.reshape(()) / i
-    w = np.maximum(pre, 0.0)
-    out = Tensor(w, requires_grad=scores.requires_grad or tau.requires_grad)
-    active = pre > 0
-
-    def vjp(g):
-        dpre = g * active
-        dtau = np.asarray(dpre.sum() / i, dtype=tau.data.dtype).reshape(tau.shape)
-        ds = p * (dpre - (p * dpre).sum())
-        return ds, dtau
-
-    return record_op(out, (scores, tau), vjp)
 
 
 def density_and_sink(layer_weights: list[np.ndarray]):

@@ -32,13 +32,6 @@ class RopeConfig:
             raise ValueError(f"rope base must exceed 1, got {self.base}")
 
 
-def rope_freq(cfg: RopeConfig, k: int) -> float:
-    """Rotation frequency of feature pair ``k``: base^(-2k / head_dim)."""
-    if not 0 <= k < cfg.head_dim // 2:
-        raise IndexError(f"pair index {k} outside [0, {cfg.head_dim // 2})")
-    return float(cfg.base ** (-2.0 * k / cfg.head_dim))
-
-
 @functools.lru_cache(maxsize=32)
 def _rope_rotations(cfg: RopeConfig, dtype: np.dtype, size: int) -> np.ndarray:
     """Read-only (size, head_dim/2) unit complex numbers exp(i * position * frequency).
@@ -111,9 +104,3 @@ def alibi_slope(head: int, n_heads: int) -> float:
         raise IndexError(f"head {head} outside [0, {n_heads})")
     return float(2.0 ** (-8.0 * (head + 1) / n_heads))
 
-
-def alibi_bias(head: int, n_heads: int, dist: int) -> float:
-    """Fixed linear-decay score bias: -slope * distance."""
-    if dist < 0:
-        raise ValueError("distance must be non-negative")
-    return -alibi_slope(head, n_heads) * dist

@@ -76,10 +76,19 @@ class TrainConfig:
             raise ConfigError("steps must be >= 1")
         if self.warmup > self.steps:
             raise ConfigError("warmup must not exceed total steps")
+        if self.batch_tokens < n_ctx:
+            raise ConfigError(f"batch_tokens {self.batch_tokens} is below one context of {n_ctx}")
         if self.batch_tokens % n_ctx != 0:
             raise ConfigError(f"batch_tokens {self.batch_tokens} not divisible by context {n_ctx}")
         if not 0.0 <= self.min_lr_frac <= 1.0:
             raise ConfigError("min_lr_frac must lie in [0, 1]")
+        if self.mask_at is not None:
+            _check_mask_at(self.mask_at, n_ctx)
+
+
+def _check_mask_at(k: int, n_ctx: int) -> None:
+    if not 2 <= k < n_ctx:
+        raise ConfigError(f"mask position {k} outside [2, {n_ctx})")
 
 
 def tokenize_bytes(data: bytes) -> np.ndarray:
@@ -123,8 +132,7 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 def mask_at_insert(batch: np.ndarray, k: int, n_ctx: int) -> np.ndarray:
     """Replace position ``k`` of every chunk with the reserved mask id."""
-    if not 2 <= k < n_ctx:
-        raise ConfigError(f"mask position {k} outside [2, {n_ctx})")
+    _check_mask_at(k, n_ctx)
     out = batch.copy()
     out[:, k] = MASK_ID
     return out

@@ -41,11 +41,15 @@ def finite_diff(f, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray
     return grads
 
 
-def check_grads(build, params: list[Tensor], h: float = 1e-5) -> float:
+def check_grads(build, params: list[Tensor], h: float = 1e-5, reference=None) -> float:
     """Compare tape gradients of ``build()`` against finite differences.
 
     ``build`` runs the forward pass to a scalar Tensor using ``params``
-    (float64) and is re-entrant. Returns the worst relative error.
+    (float64) and is re-entrant. The finite differences are taken of
+    ``build`` itself, or of ``reference(*arrays)``, a float function of the
+    parameter arrays, when one is given: an independent oracle then also
+    catches a fault that the forward and the backward share. Returns the
+    worst relative error.
     """
     from lazyattn.core import Tape, backward
 
@@ -58,7 +62,7 @@ def check_grads(build, params: list[Tensor], h: float = 1e-5) -> float:
     def f(*arrays):
         return build().item()
 
-    want = finite_diff(f, [p.data for p in params], h=h)
+    want = finite_diff(reference or f, [p.data for p in params], h=h)
     return max(rel_err(g, w) for g, w in zip(got, want))
 
 

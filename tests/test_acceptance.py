@@ -18,16 +18,15 @@ from lazyattn.attention import (
     CaptureBuffer,
     attend_naive,
     attend_two_pass,
-    scores,
 )
 from lazyattn.core import Tape, Tensor, backward
 from lazyattn.diagnostics import eval_ppl, export_bias, export_offsets, measure_density, probe_repeated
 from lazyattn.model import ModelConfig, TransformerLM, load_checkpoint
-from lazyattn.normalizers import NormalizerMode, elastic_row, elastic_weights, sparsemax_row, stable_softmax
+from lazyattn.normalizers import NormalizerMode, sparsemax_row
 from lazyattn.positional import RopeConfig, apply_rope
 from lazyattn.training import TrainConfig, tokenize_bytes, train
 
-from oracles import check_grads, rel_err, sparsemax_bisection
+from oracles import attention_scalar_loop, check_grads, rel_err, softmax_vec, sparsemax_bisection
 
 # probe at the training context; "off boundary rows" excludes the first
 # half, where few-key rows make any row-to-row comparison least stable
@@ -86,30 +85,51 @@ def _grad_rope(seed):
     return check_grads(lambda: core.sum_all(core.mul(apply_rope(x, positions, cfg), w)), [x])
 
 
-def _grad_scores(seed):
+def _grad_attend(cfg, qkv, cot, *, bias=None, tau=None):
+    """Single-head ``attend_naive`` gradients on q, k, v and the bias table (or
+    else tau), against finite differences of the scalar-loop oracle."""
+    q, k, v = (Tensor(a, requires_grad=True, dtype="float64") for a in qkv)
+
+    def oracle(qa, ka, va, xa):
+        if bias is not None:
+            out, _ = attention_scalar_loop(qa, ka, va, bias_vec=xa[0], window=xa.shape[1] - 1)
+        else:
+            out, _ = attention_scalar_loop(qa, ka, va, tau=float(xa[0]),
+                                           kind=cfg.normalizer.offset_kind)
+        return float((out * cot).sum())
+
+    w = Tensor(cot, dtype="float64")
+    return check_grads(
+        lambda: core.sum_all(core.mul(attend_naive(q, k, v, cfg, bias=bias, tau=tau), w)),
+        [q, k, v, tau if bias is None else bias], reference=oracle)
+
+
+def _grad_attend_bias(seed):
     rng = np.random.default_rng(seed)
-    q = Tensor(rng.normal(size=(6, 8)), requires_grad=True, dtype="float64")
-    k = Tensor(rng.normal(size=(6, 8)), requires_grad=True, dtype="float64")
-    b = Tensor(rng.normal(size=5), requires_grad=True, dtype="float64")
-    w = Tensor(rng.normal(size=(6, 6)), dtype="float64")
-    return check_grads(lambda: core.sum_all(core.mul(scores(q, k, bias=b), w)), [q, k, b])
+    n, dh = 6, 8
+    qkv = rng.normal(size=(3, n, dh))
+    window = int(rng.integers(0, n - 1))  # below n - 1, so some distances lie outside it
+    bias = Tensor(rng.normal(size=(1, window + 1)), requires_grad=True, dtype="float64")
+    cfg = AttentionConfig(n_heads=1, head_dim=dh, normalizer=NormalizerMode.SOFTMAX)
+    return _grad_attend(cfg, qkv, rng.normal(size=(n, dh)), bias=bias)
 
 
-def _grad_elastic_row(seed):
-    # resample deterministically until every entry is off the rectifier kink
+def _grad_attend_elastic(seed):
+    # resample deterministically until every weight is off the rectifier kink
     for attempt in range(40):
         rng = np.random.default_rng(seed * 1000 + attempt)
-        i = int(rng.integers(2, 9))
-        s = rng.normal(size=i) * 2.0
+        n, dh = int(rng.integers(2, 9)), 8
+        qkv = rng.normal(size=(3, n, dh))
         tau = float(rng.uniform(-1.4, -0.2))
-        if np.abs(stable_softmax(s) + tau / i).min() > 1e-3:
+        s = qkv[0] @ qkv[1].T / math.sqrt(dh)
+        if min(np.abs(softmax_vec(s[i, : i + 1]) + tau / (i + 1)).min() for i in range(n)) > 1e-3:
             break
     else:
         raise AssertionError("no kink-free sample found")
-    st = Tensor(s, requires_grad=True, dtype="float64")
-    tt = Tensor(np.array(tau), requires_grad=True, dtype="float64")
-    w = Tensor(rng.normal(size=i), dtype="float64")
-    return check_grads(lambda: core.sum_all(core.mul(elastic_weights(st, tt), w)), [st, tt])
+    tt = Tensor(np.array([tau]), requires_grad=True, dtype="float64")
+    cfg = AttentionConfig(n_heads=1, head_dim=dh, positional="rope",
+                          normalizer=NormalizerMode.ELASTIC_PER_QUERY)
+    return _grad_attend(cfg, qkv, rng.normal(size=(n, dh)), tau=tt)
 
 
 def _grad_full_block(seed, normalizer):
@@ -136,13 +156,13 @@ def _grad_full_block(seed, normalizer):
 
 def test_criterion_01_gradient_suite():
     t0 = time.perf_counter()
-    worst = {"core": 0.0, "rope": 0.0, "scores": 0.0, "elastic_row": 0.0,
+    worst = {"core": 0.0, "rope": 0.0, "attend_bias": 0.0, "attend_elastic": 0.0,
              "block_softmax": 0.0, "block_elastic": 0.0}
     for seed in range(20):
         worst["core"] = max(worst["core"], _grad_core_ops(seed))
         worst["rope"] = max(worst["rope"], _grad_rope(seed))
-        worst["scores"] = max(worst["scores"], _grad_scores(seed))
-        worst["elastic_row"] = max(worst["elastic_row"], _grad_elastic_row(seed))
+        worst["attend_bias"] = max(worst["attend_bias"], _grad_attend_bias(seed))
+        worst["attend_elastic"] = max(worst["attend_elastic"], _grad_attend_elastic(seed))
         worst["block_softmax"] = max(worst["block_softmax"], _grad_full_block(seed, "softmax"))
         worst["block_elastic"] = max(worst["block_elastic"], _grad_full_block(seed, "elastic"))
     elapsed = time.perf_counter() - t0
@@ -216,19 +236,19 @@ def test_criterion_02_two_pass_equivalence():
 
 
 def test_criterion_03_analytic_zero_row_law():
-    ok = True
-    for i in range(1, 65):
-        row = elastic_row(np.zeros(i), i, -1.0)
-        ok = ok and row.shape == (i,) and np.all(row == 0.0)
-    # same law through the matrix path
+    # rows i = 1..64 of one uniform score matrix, on both paths (tile 7 does not divide 64)
     n = 64
     q = Tensor(np.zeros((n, 8)), dtype="float32")
     k = Tensor(np.zeros((n, 8)), dtype="float32")
     v = Tensor(np.random.default_rng(0).normal(size=(n, 8)), dtype="float32")
-    cfg = AttentionConfig(n_heads=1, head_dim=8, normalizer=NormalizerMode.ELASTIC_PER_QUERY)
-    cap = CaptureBuffer()
-    out = attend_naive(q, k, v, cfg, tau=Tensor(np.array([-1.0]), dtype="float32"), capture=cap)
-    ok = ok and np.all(out.data == 0.0) and np.all(cap.layers[0] == 0.0)
+    tau = Tensor(np.array([-1.0]), dtype="float32")
+    cfg = AttentionConfig(n_heads=1, head_dim=8, normalizer=NormalizerMode.ELASTIC_PER_QUERY,
+                          tile=7)
+    ok = True
+    for attend in (attend_naive, attend_two_pass):
+        cap = CaptureBuffer()
+        out = attend(q, k, v, cfg, tau=tau, capture=cap)
+        ok = ok and np.all(out.data == 0.0) and np.all(cap.layers[0] == 0.0)
     report(3, "uniform scores with tau=-1 rectify to exactly zero for i in 1..64", ok)
 
 

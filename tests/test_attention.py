@@ -16,11 +16,10 @@ from lazyattn.attention import (
     attend_naive,
     attend_two_pass,
     multi_head,
-    scores,
 )
 from lazyattn.core import Tape, Tensor, backward
 from lazyattn.normalizers import NormalizerMode
-from lazyattn.positional import RopeConfig, alibi_bias, apply_rope
+from lazyattn.positional import RopeConfig, apply_rope
 
 from oracles import attention_scalar_loop, check_grads, rel_err
 
@@ -42,22 +41,28 @@ def rand_qkv(rng, n, width, dtype="float64", grad=False):
                  for _ in range(3))
 
 
+def alibi_vec(n):
+    """ALiBi score biases of a single head over distances 0..n-1: -2^(-8(h+1)/H) * d at h=0, H=1."""
+    return [-(2.0 ** -8.0) * d for d in range(n)]
+
+
 def test_scores_zero_bias_is_scaled_dot():
     rng = np.random.default_rng(0)
-    q, k, _ = rand_qkv(rng, 5, 8)
-    bias = Tensor(np.zeros(4), dtype="float64")
-    s = scores(q, k, bias=bias).data
-    want = np.tril(q.data @ k.data.T / math.sqrt(8))
-    assert np.allclose(s, want, atol=1e-12)
+    q, k, v = rand_qkv(rng, 5, 8)
+    bias = Tensor(np.zeros((1, 4)), dtype="float64")
+    out = attend_naive(q, k, v, make_cfg("softmax"), bias=bias).data
+    want, _ = attention_scalar_loop(q.data, k.data, v.data)
+    assert np.allclose(out, want, atol=1e-12)
 
 
 def test_scores_unit_vectors():
     e1 = np.zeros((3, 8))
     e1[:, 0] = 1.0
     q = Tensor(e1, dtype="float64")
-    s = scores(q, q).data
-    lower = np.tril(np.ones((3, 3), dtype=bool))
-    assert np.allclose(s[lower], 1.0 / math.sqrt(8))
+    v = Tensor(np.eye(3, 8), dtype="float64")
+    w = attend_naive(q, q, v, make_cfg("softmax", positional="rope")).data[:, :3]
+    # equal scores 1/sqrt(8) in every causal entry: row i is uniform over its i keys
+    assert np.allclose(w, np.tril(np.ones((3, 3))) / np.arange(1, 4)[:, None], atol=1e-15)
 
 
 def test_scores_translation_invariance():
@@ -81,10 +86,17 @@ def test_scores_translation_invariance():
 
 def test_scores_gradient():
     rng = np.random.default_rng(2)
-    q, k, _ = rand_qkv(rng, 5, 8, grad=True)
-    bias = Tensor(rng.normal(size=4), requires_grad=True, dtype="float64")
-    w = Tensor(rng.normal(size=(5, 5)), dtype="float64")
-    err = check_grads(lambda: core.sum_all(core.mul(scores(q, k, bias=bias), w)), [q, k, bias])
+    q, k, v = rand_qkv(rng, 5, 8, grad=True)
+    bias = Tensor(rng.normal(size=(1, 4)), requires_grad=True, dtype="float64")
+    w = Tensor(rng.normal(size=(5, 8)), dtype="float64")
+    cfg = make_cfg("softmax")
+
+    def oracle(qa, ka, va, ba):
+        out, _ = attention_scalar_loop(qa, ka, va, bias_vec=ba[0], window=3)
+        return float((out * w.data).sum())
+
+    err = check_grads(lambda: core.sum_all(core.mul(attend_naive(q, k, v, cfg, bias=bias), w)),
+                      [q, k, v, bias], reference=oracle)
     assert err < 1e-6
 
 
@@ -327,7 +339,7 @@ def test_two_pass_matches_naive_on_random_shapes(case):
         if case["positional"] == "rope_bias":
             bias_vec, window = arrays["bias"][0], case["window"]
         elif case["positional"] == "alibi":
-            bias_vec, window = [alibi_bias(0, 1, d) for d in range(n)], n
+            bias_vec, window = alibi_vec(n), n
         ts = {name: Tensor(a, dtype="float64") for name, a in arrays.items()}
         out = attend_naive(ts["q"], ts["k"], ts["v"], cfg, bias=ts.get("bias"),
                            tau=ts.get("tau"), batch=batch).data
@@ -503,5 +515,5 @@ def test_alibi_mode_uses_fixed_decay_and_no_rope():
     cap = CaptureBuffer()
     attend_naive(q, k, v, cfg, capture=cap)
     _, want = attention_scalar_loop(q.data, k.data, v.data,
-                                    bias_vec=[alibi_bias(0, 1, d) for d in range(n)], window=n)
+                                    bias_vec=alibi_vec(n), window=n)
     assert np.abs(cap.layers[0][0, 0] - want).max() < 1e-6

@@ -93,16 +93,6 @@ def test_softmax_rows_sum_to_one():
     assert np.abs(core.softmax_lastdim(x64).data.sum(axis=-1) - 1).max() < 1e-12
 
 
-def test_softmax_mask_excludes_entries():
-    x = t64([[1.0, 5.0, 2.0]])
-    mask = np.array([[False, True, False]])
-    out = core.softmax_lastdim(x, mask=mask)
-    assert out.data[0, 1] == 0.0
-    assert math.isclose(out.data.sum(), 1.0, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        core.softmax_lastdim(x, mask=np.array([[True, True, True]]))
-
-
 def test_softmax_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     x = t64(rng.normal(size=(4, 6)))

@@ -325,6 +325,10 @@ def test_cli_diagnostic_subcommands(small_corpus_path, tmp_path):
     ("stats-sink", ["--positions", "-2"], "n_positions"),
     ("probe-repeat", ["--min-row", "0"], "min_row"),
     ("probe-repeat", ["--min-row", "-3"], "min_row"),
+    ("stats-sink", ["--length", "-1"], "--length"),
+    ("stats-sink", ["--length", "0"], "--length"),
+    ("probe-repeat", ["--length", "-4"], "probe length n"),
+    ("probe-repeat", ["--length", "1"], "probe length n"),
 ])
 def test_cli_rejects_nonpositive_sizes(tmp_path, capsys, command, args, name):
     from lazyattn.cli import main

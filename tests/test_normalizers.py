@@ -1,4 +1,8 @@
-"""Row-normalizer tests: rectified offsets, sparsemax, density/sink stats."""
+"""Row-normalizer tests: rectified offsets, sparsemax, density/sink stats.
+
+The offset rows run through ``attend_naive`` on one head whose inputs are
+built to give a chosen score matrix.
+"""
 
 import math
 
@@ -7,51 +11,92 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lazyattn import core
+from lazyattn.attention import AttentionConfig, CaptureBuffer, attend_naive
 from lazyattn.core import Tensor
-from lazyattn.normalizers import (
-    density_and_sink,
-    elastic_row,
-    elastic_weights,
-    fixed_offset_row,
-    global_offset_row,
-    sparsemax_row,
-    stable_softmax,
-)
+from lazyattn.normalizers import NormalizerMode, density_and_sink, sparsemax_row
 
-from oracles import check_grads, sparsemax_bisection
+from oracles import check_grads, softmax_vec, sparsemax_bisection
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False)
 
+ELASTIC = NormalizerMode.ELASTIC_PER_QUERY
+GLOBAL = NormalizerMode.ELASTIC_GLOBAL
+FIXED = NormalizerMode.FIXED_PER_QUERY
+
+
+def score_qkv(scores, grad=False):
+    """Single-head q, k, v whose causal score matrix is ``scores`` (n, n).
+
+    Row i of q holds row i of the scores, the keys are unit vectors scaled
+    by sqrt(d) at a width d that is a power of 4, so <q_i, k_j>/sqrt(d) is
+    scores[i, j] exactly, and the values are unit vectors, so output row i
+    is weight row i.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.shape[0]
+    d = 4
+    while d < n:
+        d *= 4
+    q = np.zeros((n, d))
+    q[:, :n] = scores
+    unit = np.eye(n, d)
+    return (Tensor(q, requires_grad=grad, dtype="float64"),
+            Tensor(unit * math.sqrt(d), dtype="float64"), Tensor(unit, dtype="float64"))
+
+
+def score_cfg(q, mode):
+    return AttentionConfig(n_heads=1, head_dim=q.shape[1], positional="rope", normalizer=mode)
+
+
+def tau_tensor(tau, grad=False):
+    return Tensor(np.array([tau]), requires_grad=grad, dtype="float64")
+
+
+def weight_rows(scores, mode, tau=None):
+    """The (n, n) causal weights ``attend_naive`` gives for the score matrix ``scores``."""
+    q, k, v = score_qkv(scores)
+    n = q.shape[0]
+    cap = CaptureBuffer()
+    tau = None if tau is None else tau_tensor(tau)
+    w = attend_naive(q, k, v, score_cfg(q, mode), tau=tau, capture=cap).data[:, :n]
+    assert np.array_equal(cap.layers[0][0, 0], w.astype(np.float32))
+    return w
+
 
 def test_elastic_uniform_scores_cancel_exactly():
-    for i in (1, 2, 3, 5, 17, 64):
-        row = elastic_row(np.zeros(i), i, -1.0)
-        assert np.all(row == 0.0)  # 1/i - 1/i rectifies to exactly zero
+    zeros = np.zeros((64, 64))
+    for mode, tau in ((ELASTIC, -1.0), (FIXED, None)):
+        assert np.all(weight_rows(zeros, mode, tau) == 0.0)  # 1/i - 1/i rectifies to exactly zero
 
 
 def test_elastic_zero_tau_is_softmax():
     rng = np.random.default_rng(0)
-    s = rng.normal(size=9)
-    assert np.abs(elastic_row(s, 9, 0.0) - stable_softmax(s)).max() < 1e-7
+    s = rng.normal(size=(9, 9))
+    rows = weight_rows(s, ELASTIC, 0.0)
+    for i in range(9):
+        assert np.abs(rows[i, : i + 1] - softmax_vec(s[i, : i + 1])).max() < 1e-7
+        assert np.all(rows[i, i + 1:] == 0.0)
 
 
 def test_elastic_zero_tau_bit_comparable_to_core_softmax():
-    from lazyattn import core
-
     rng = np.random.default_rng(8)
-    s = rng.normal(size=11)
-    row = elastic_row(s, 11, 0.0)
-    want = core.softmax_lastdim(Tensor(s, dtype="float64")).data
-    assert np.abs(row - want).max() < 1e-7
+    s = rng.normal(size=(11, 11))
+    rows = weight_rows(s, ELASTIC, 0.0)
+    for i in range(11):
+        want = core.softmax_lastdim(Tensor(s[i, : i + 1], dtype="float64")).data
+        assert np.abs(rows[i, : i + 1] - want).max() < 1e-7
 
 
 def test_elastic_first_query_forced_to_zero():
-    assert elastic_row(np.array([3.2]), 1, -1.0) == np.array([0.0])
+    assert np.array_equal(weight_rows(np.array([[3.2]]), ELASTIC, -1.0), [[0.0]])
 
 
 def test_elastic_reference_values():
     # softmax([2,0,0]) = [0.78699..., 0.10650..., 0.10650...]; offset -1/3
-    row = elastic_row(np.array([2.0, 0.0, 0.0]), 3, -1.0)
+    s = np.zeros((3, 3))
+    s[2] = [2.0, 0.0, 0.0]
+    row = weight_rows(s, ELASTIC, -1.0)[2]
     e2 = math.exp(2.0)
     p0 = e2 / (e2 + 2.0)
     want = np.array([p0 - 1.0 / 3.0, 0.0, 0.0])
@@ -59,33 +104,27 @@ def test_elastic_reference_values():
     assert abs(row[0] - 0.45365271) < 1e-8
 
 
-def test_elastic_row_validation():
-    with pytest.raises(ValueError):
-        elastic_row(np.zeros(3), 4, -1.0)
-    with pytest.raises(ValueError):
-        elastic_row(np.zeros(0), 0, -1.0)
-
-
 def test_fixed_offset_examples():
-    assert np.all(fixed_offset_row(np.zeros(6), 6) == 0.0)
-    row = fixed_offset_row(np.array([math.log(3.0), 0.0]), 2)
-    assert np.allclose(row, [0.25, 0.0], atol=1e-12)
+    assert np.all(weight_rows(np.zeros((6, 6)), FIXED) == 0.0)
+    s = np.zeros((2, 2))
+    s[1] = [math.log(3.0), 0.0]
+    assert np.allclose(weight_rows(s, FIXED)[1], [0.25, 0.0], atol=1e-12)
 
 
 def test_fixed_offset_matches_frozen_elastic():
-    rng = np.random.default_rng(1)
-    for i in (1, 2, 5, 11):
-        s = rng.normal(size=i)
-        assert np.array_equal(fixed_offset_row(s, i), elastic_row(s, i, -1.0))
+    s = np.random.default_rng(1).normal(size=(11, 11))
+    assert np.array_equal(weight_rows(s, FIXED), weight_rows(s, ELASTIC, -1.0))
 
 
 def test_global_offset_examples():
-    rng = np.random.default_rng(2)
-    s = rng.normal(size=5)
-    assert np.allclose(global_offset_row(s, 0.0), stable_softmax(s), atol=1e-15)
-    assert np.all(global_offset_row(s, -1.0) == 0.0)  # every entry <= 1
-    p = np.log(np.array([0.5, 0.3, 0.2]))
-    assert np.allclose(global_offset_row(p, -0.2), [0.3, 0.1, 0.0], atol=1e-12)
+    s = np.random.default_rng(2).normal(size=(5, 5))
+    rows = weight_rows(s, GLOBAL, 0.0)
+    for i in range(5):
+        assert np.allclose(rows[i, : i + 1], softmax_vec(s[i, : i + 1]), atol=1e-15)
+    assert np.all(weight_rows(s, GLOBAL, -1.0) == 0.0)  # every entry <= 1
+    p = np.zeros((3, 3))
+    p[2] = np.log([0.5, 0.3, 0.2])
+    assert np.allclose(weight_rows(p, GLOBAL, -0.2)[2], [0.3, 0.1, 0.0], atol=1e-12)
 
 
 def test_sparsemax_examples():
@@ -115,37 +154,40 @@ def test_sparsemax_is_distribution_and_idempotent(scores):
 @given(st.lists(finite_floats, min_size=1, max_size=12),
        st.floats(min_value=-2.0, max_value=0.0))
 def test_elastic_row_bounds_for_nonpositive_tau(scores, tau):
-    """Both offset rows are nonnegative and sum to at most 1 when tau <= 0."""
-    i = len(scores)
-    for row in (elastic_row(np.array(scores), i, tau), global_offset_row(np.array(scores), tau)):
-        assert np.all(row >= 0.0) and np.all(row <= 1.0)
-        assert row.sum() <= 1.0 + 1e-6
+    """Both offset rows are nonnegative and sum to at most 1 when tau <= 0.
+
+    Row i of the score matrix holds the first i of the drawn scores.
+    """
+    s = np.tile(scores, (len(scores), 1))
+    for mode in (ELASTIC, GLOBAL):
+        rows = weight_rows(s, mode, tau)
+        assert np.all(rows >= 0.0) and np.all(rows <= 1.0)
+        assert rows.sum(axis=1).max() <= 1.0 + 1e-6
 
 
 def test_positive_tau_rows_can_sum_above_one():
-    scores = np.zeros(4)
-    assert elastic_row(scores, 4, 0.5).sum() == pytest.approx(1.5)
-    assert global_offset_row(scores, 0.5).sum() == pytest.approx(3.0)
+    zeros = np.zeros((4, 4))
+    assert weight_rows(zeros, ELASTIC, 0.5)[3].sum() == pytest.approx(1.5)
+    assert weight_rows(zeros, GLOBAL, 0.5)[3].sum() == pytest.approx(3.0)
 
 
 def test_elastic_weights_gradient_away_from_kink():
-    rng = np.random.default_rng(4)
+    """Score and tau gradients of elastic rows through attend_naive's vjp."""
     checked = 0
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        i = int(rng.integers(2, 9))
-        s = rng.normal(size=i) * 2.0
+        n = int(rng.integers(2, 9))
+        s = rng.normal(size=(n, n)) * 2.0
         tau = float(rng.uniform(-1.5, -0.2))
-        pre = stable_softmax(s) + tau / i
-        if np.abs(pre).min() < 1e-3:  # stay off the rectifier boundary
+        pre = [softmax_vec(s[i, : i + 1]) + tau / (i + 1) for i in range(n)]
+        if min(np.abs(row).min() for row in pre) < 1e-3:  # stay off the rectifier boundary
             continue
-        st_ = Tensor(s, requires_grad=True, dtype="float64")
-        tt = Tensor(np.array(tau), requires_grad=True, dtype="float64")
-        w = Tensor(rng.normal(size=i), dtype="float64")
-        from lazyattn import core
-
-        err = check_grads(lambda: core.sum_all(core.mul(elastic_weights(st_, tt), w)),
-                          [st_, tt])
+        q, k, v = score_qkv(s, grad=True)
+        tt = tau_tensor(tau, grad=True)
+        w = Tensor(rng.normal(size=q.shape), dtype="float64")
+        cfg = score_cfg(q, ELASTIC)
+        err = check_grads(lambda: core.sum_all(core.mul(attend_naive(q, k, v, cfg, tau=tt), w)),
+                          [q, tt])
         assert err < 1e-4
         checked += 1
     assert checked >= 10

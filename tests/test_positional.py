@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from lazyattn import core
-from lazyattn.attention import _distance_table, _row_bias, _row_bias_grad
+from lazyattn.attention import (
+    AttentionConfig,
+    _distance_table,
+    _resolve_bias,
+    _row_bias,
+    _row_bias_grad,
+)
 from lazyattn.core import Tape, Tensor, backward
 from lazyattn.positional import (
     BiasTable,
     RopeConfig,
-    alibi_bias,
     alibi_slope,
     apply_rope,
-    rope_freq,
 )
 from lazyattn.training import AdamW
 
@@ -22,19 +26,6 @@ from oracles import check_grads, rope_block_rotation
 
 
 CFG = RopeConfig(head_dim=8, base=10000.0)
-
-
-def test_rope_freq_endpoints():
-    assert rope_freq(CFG, 0) == 1.0
-    big = RopeConfig(head_dim=64, base=10000.0)
-    assert math.isclose(rope_freq(big, 31), 10000.0 ** (-62 / 64), rel_tol=1e-12)
-    with pytest.raises(IndexError):
-        rope_freq(CFG, 4)
-
-
-def test_rope_freq_strictly_decreasing():
-    freqs = [rope_freq(CFG, k) for k in range(CFG.head_dim // 2)]
-    assert all(a > b for a, b in zip(freqs, freqs[1:]))
 
 
 def test_rope_config_validation():
@@ -173,15 +164,17 @@ def test_bias_gradient_only_at_realized_distances():
 
 
 def test_alibi_values():
-    assert alibi_bias(0, 4, 0) == 0.0
-    h_unit = 3  # slope 2^(-8*4/4) for the last of 4 heads
-    assert math.isclose(alibi_bias(h_unit, 4, 3), -(2.0 ** -8) * 3, rel_tol=1e-12)
+    assert math.isclose(alibi_slope(3, 4), 2.0 ** -8, rel_tol=1e-12)  # last of 4 heads
     slopes = [alibi_slope(h, 8) for h in range(8)]
     assert all(a > b for a, b in zip(slopes, slopes[1:]))
     assert math.isclose(slopes[0], 0.5, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        alibi_bias(0, 4, -2)
+    with pytest.raises(IndexError):
+        alibi_slope(4, 4)
 
 
 def test_alibi_unit_slope_formula():
-    assert math.isclose(alibi_bias(1, 8, 3) / alibi_slope(1, 8), -3.0, rel_tol=1e-12)
+    """The ALiBi distance table the attention paths read is -slope * distance."""
+    cfg = AttentionConfig(n_heads=8, head_dim=4, positional="alibi")
+    table, window = _resolve_bias(None, cfg, 5, np.float64)
+    assert window == 4 and table[1, 0] == 0.0 and table[1, window + 1] == 0.0
+    assert math.isclose(table[1, 3] / alibi_slope(1, 8), -3.0, rel_tol=1e-12)

@@ -378,6 +378,13 @@ def test_train_config_validation():
         TrainConfig(steps=10, warmup=20).validate(32)
     with pytest.raises(ConfigError):
         TrainConfig(batch_tokens=100).validate(32)
+    for bad in (0, -32, 16):  # below one context, even where divisible by it
+        with pytest.raises(ConfigError, match="below one context"):
+            TrainConfig(batch_tokens=bad).validate(32)
+    for bad in (1, 32, 40):
+        with pytest.raises(ConfigError, match="mask position"):
+            TrainConfig(mask_at=bad).validate(32)
+    TrainConfig(mask_at=31).validate(32)
 
 
 def test_parse_config_file(tmp_path):
@@ -439,6 +446,29 @@ def test_bad_model_keys_fail_before_training_writes(bad, small_corpus_path, tmp_
     with pytest.raises(ConfigError):
         build_configs(parse_config_file(cfg))
     assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    assert not out_dir.exists()
+
+
+BAD_TRAIN_KEYS = {
+    "zero batch_tokens": ("batch_tokens = 0\n", "batch_tokens 0"),
+    "negative batch_tokens": ("batch_tokens = -32\n", "batch_tokens -32"),
+    "mask_at past the context": ("mask_token = true\nmask_at = 40\n", "mask position 40"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_TRAIN_KEYS))
+def test_bad_train_keys_fail_before_training_writes(bad, small_corpus_path, tmp_path, capsys):
+    """Train keys are checked against the model's context before anything is written."""
+    from lazyattn.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    lines, message = BAD_TRAIN_KEYS[bad]
+    cfg.write_text(f"corpus = {small_corpus_path}\nout_dir = {out_dir}\n"
+                   "steps = 8\nwarmup = 2\nn_layers = 1\nd_model = 32\nn_heads = 2\n"
+                   "n_ctx = 32\nwindow = 8\n" + lines)
+    assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
     assert not out_dir.exists()
 
 
