@@ -23,7 +23,6 @@ from .core import (
     mul,
     relu,
     scale,
-    softmax_lastdim,
 )
 from .positional import (
     BiasTable,

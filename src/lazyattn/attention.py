@@ -94,18 +94,14 @@ def _lower_mask(n: int) -> np.ndarray:
     return m
 
 
-def _row_offsets(kind: str, tau_g: np.ndarray | None, n: int, dtype) -> np.ndarray | None:
+def _row_offsets(mode: NormalizerMode, tau_g: np.ndarray | None, n: int,
+                 dtype) -> np.ndarray | None:
     """Per-(group, query) additive offset applied after softmax, or None."""
-    idx = np.arange(1, n + 1, dtype=dtype)
-    if kind == "none" or kind == "sparsemax":
-        return None
-    if kind == "fixed":
-        return np.broadcast_to(-1.0 / idx, (1, n)).astype(dtype)
-    if kind == "per_query":
-        return tau_g[:, None] / idx[None, :]
-    if kind == "global":
+    if mode is NormalizerMode.ELASTIC_PER_QUERY:
+        return tau_g[:, None] / np.arange(1, n + 1, dtype=dtype)[None, :]
+    if mode is NormalizerMode.ELASTIC_GLOBAL:
         return np.broadcast_to(tau_g[:, None], (tau_g.shape[0], n)).astype(dtype, copy=False)
-    raise ValueError(f"unknown offset kind {kind!r}")
+    return None
 
 
 def _split_groups(x: np.ndarray, batch: int, n_heads: int) -> np.ndarray:
@@ -241,14 +237,14 @@ def _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau: Tensor | None, batch: int,
     return tuple(grads)
 
 
-def _normalize_full(s: np.ndarray, kind: str, off: np.ndarray | None, lower: np.ndarray):
+def _normalize_full(s: np.ndarray, mode: NormalizerMode, off: np.ndarray | None, lower: np.ndarray):
     """Forward normalization of full (G, n, n) scores whose upper triangle is -inf.
 
     Returns (weights, softmax_probs, active_gate). For sparsemax the probs
     slot carries None and the gate is the support. Softmax overwrites ``s``
     with the probabilities.
     """
-    if kind == "sparsemax":
+    if mode is NormalizerMode.SPARSEMAX:
         g, n, _ = s.shape
         w = np.zeros_like(s)
         for gi in range(g):
@@ -259,7 +255,7 @@ def _normalize_full(s: np.ndarray, kind: str, off: np.ndarray | None, lower: np.
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    if kind == "none":
+    if mode is NormalizerMode.SOFTMAX:
         return p, p, None
     w = p + off[:, :, None]
     gate = w > 0
@@ -282,7 +278,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     h, dh = config.n_heads, config.head_dim
     dtype = q.data.dtype
     sc = 1.0 / math.sqrt(dh)
-    kind = config.normalizer.offset_kind
+    mode = config.normalizer
     table, window = _resolve_bias(bias, config, n, dtype)
     tau_g = _resolve_tau(tau, config, batch)
     lower = _lower_mask(n)
@@ -296,8 +292,8 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     if table is not None:
         s.reshape(batch, h, n, n)[...] += _row_bias(table, window, 0, n)[None]
     np.copyto(s, -np.inf, where=~lower)
-    off = _row_offsets(kind, tau_g, n, dtype)
-    w, p, gate = _normalize_full(s, kind, off, lower)
+    off = _row_offsets(mode, tau_g, n, dtype)
+    w, p, gate = _normalize_full(s, mode, off, lower)
     inputs = _tape_inputs(q, k, v, bias, tau, config)
     out = Tensor(_merge_groups(w @ v3, batch, h),
                  requires_grad=any(t.requires_grad for t in inputs))
@@ -312,7 +308,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         dv3 = w.transpose(0, 2, 1) @ g3
         ds = g3 @ v3.transpose(0, 2, 1)  # dw, turned into the score gradient in place
         dtau_h = None
-        if kind == "sparsemax":
+        if mode is NormalizerMode.SPARSEMAX:
             dw = ds
             ds = np.zeros_like(dw)
             for gi in range(dw.shape[0]):
@@ -321,10 +317,10 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         else:
             if gate is not None:  # softmax needs no mask: p is 0 on masked entries
                 ds *= gate
-                if kind == "per_query":
+                if mode is NormalizerMode.ELASTIC_PER_QUERY:
                     dtau_g = (ds.sum(axis=-1) / rows1[None, :]).sum(axis=-1)
                     dtau_h = dtau_g.reshape(batch, h).sum(axis=0)
-                elif kind == "global":
+                elif mode is NormalizerMode.ELASTIC_GLOBAL:
                     dtau_h = ds.sum(axis=(-1, -2)).reshape(batch, h).sum(axis=0)
             ds -= np.einsum("gij,gij->gi", p, ds)[:, :, None]
             ds *= p
@@ -369,8 +365,8 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     """
     n = _check_qkv(q, k, v, config, batch)
     h, dh = config.n_heads, config.head_dim
-    kind = config.normalizer.offset_kind
-    if kind == "sparsemax":
+    mode = config.normalizer
+    if mode is NormalizerMode.SPARSEMAX:
         raise ValueError("sparsemax needs globally sorted rows; use attend_naive")
     dtype = q.data.dtype
     sc = 1.0 / math.sqrt(dh)
@@ -378,7 +374,7 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
 
     table, window = _resolve_bias(bias, config, n, dtype)
     tau_g = _resolve_tau(tau, config, batch)
-    off = _row_offsets(kind, tau_g, n, dtype)
+    off = _row_offsets(mode, tau_g, n, dtype)
 
     q3 = _split_groups(q.data, batch, h)
     k3 = _split_groups(k.data, batch, h)
@@ -420,7 +416,7 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         cap = np.zeros((groups, n, n), dtype=np.float32)
     for r0, r1 in tiles:
         w = prob_block(r0, r1, fresh=True)
-        if kind != "none":
+        if mode is not NormalizerMode.SOFTMAX:
             w += off[:, r0:r1, None]
             rectify(w, r0, r1)
         out3[:, r0:r1] = w @ v3[:, :r1]
@@ -444,19 +440,20 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         dq3 = np.empty_like(q3)
         dk3 = np.zeros_like(k3)
         dv3 = np.zeros_like(v3)
-        dtau_g = np.zeros(groups, dtype=dtype) if kind in ("per_query", "global") else None
+        dtau_g = np.zeros(groups, dtype=dtype) if mode.learns_tau else None
         dbias = None if bias is None else np.zeros((h, window + 1), dtype=dtype)
         for r0, r1 in tiles:
             p = prob_block(r0, r1)
             gt = g3[:, r0:r1]
             ds = gt @ v3[:, :r1].transpose(0, 2, 1)  # dw, turned into the score gradient in place
             w = p
-            if kind != "none":  # softmax needs no mask: p is 0 on masked entries
+            # softmax needs no mask: p is 0 on masked entries
+            if mode is not NormalizerMode.SOFTMAX:
                 w = rectify(p + off[:, r0:r1, None], r0, r1)
                 ds *= w > 0
-                if kind == "per_query":
+                if mode is NormalizerMode.ELASTIC_PER_QUERY:
                     dtau_g += (ds.sum(axis=-1) / rows1[None, r0:r1]).sum(axis=-1)
-                elif kind == "global":
+                elif mode is NormalizerMode.ELASTIC_GLOBAL:
                     dtau_g += ds.sum(axis=(-1, -2))
             ds -= np.einsum("gij,gij->gi", p, ds)[:, :, None]
             ds *= p

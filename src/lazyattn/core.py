@@ -396,24 +396,6 @@ def gelu(x: Tensor) -> Tensor:
     return record_op(out, (x,), vjp)
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Row-stable softmax over the last axis."""
-    xd = x.data
-    if xd.shape[-1] < 1:
-        raise ShapeError("softmax_lastdim: last dimension must be >= 1")
-    m = xd.max(axis=-1, keepdims=True)
-    e = np.exp(xd - m)
-    s = e.sum(axis=-1, keepdims=True)
-    p = e / s
-    out = Tensor(p, requires_grad=x.requires_grad)
-
-    def vjp(g):
-        dot = (p * g).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
-
-    return record_op(out, (x,), vjp)
-
-
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row zero-mean/unit-variance normalization followed by an affine map."""
     if x.ndim != 2:
@@ -506,35 +488,6 @@ def add_row(x: Tensor, row: Tensor) -> Tensor:
         return g, g.sum(axis=0)
 
     return record_op(out, (x, row), vjp)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Column slice [start, stop) of a 2-D tensor."""
-    if x.ndim != 2:
-        raise ShapeError("slice_cols expects a 2-D input")
-    out = Tensor(x.data[:, start:stop].copy(), requires_grad=x.requires_grad)
-
-    def vjp(g):
-        d = np.zeros_like(x.data)
-        d[:, start:stop] = g
-        return (d,)
-
-    return record_op(out, (x,), vjp)
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along columns."""
-    if not parts:
-        raise ShapeError("concat_cols: nothing to concatenate")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1),
-                 requires_grad=any(p.requires_grad for p in parts))
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def vjp(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return record_op(out, tuple(parts), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -84,6 +84,9 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if self.n_ctx < 2:
             raise ValueError("n_ctx must be >= 2")
+        if self.window < 0:
+            raise ValueError("window must be >= 0")
+        core.resolve_dtype(self.dtype)
         self.attention()  # the attention and rope configs check the rest
         self.rope()
 

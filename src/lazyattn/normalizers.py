@@ -15,8 +15,9 @@ attention paths compute:
   softmax         softmax(s)
   elastic         relu(softmax(s) + tau / i)   learnable tau per head
   elastic_global  relu(softmax(s) + tau)       learnable, no 1/i split
-  fixed           relu(softmax(s) - 1 / i)     constant
   sparsemax       euclidean projection of s onto the simplex (``sparsemax_row``)
+
+A constant -1/i offset is ``elastic`` with tau frozen at -1.
 
 Under ``elastic`` with uniform scores and tau = -1 the softmax mass 1/i
 cancels the offset exactly and the whole row rectifies to zero; the first
@@ -37,7 +38,6 @@ class NormalizerMode(enum.Enum):
     SPARSEMAX = "sparsemax"
     ELASTIC_GLOBAL = "elastic_global"
     ELASTIC_PER_QUERY = "elastic"
-    FIXED_PER_QUERY = "fixed"
 
     @classmethod
     def parse(cls, value) -> "NormalizerMode":
@@ -48,17 +48,6 @@ class NormalizerMode(enum.Enum):
         except ValueError:
             names = ", ".join(m.value for m in cls)
             raise ValueError(f"unknown normalizer {value!r}; expected one of {names}") from None
-
-    @property
-    def offset_kind(self) -> str:
-        """Offset family: 'none', 'per_query', 'global', 'fixed', or 'sparsemax'."""
-        return {
-            NormalizerMode.SOFTMAX: "none",
-            NormalizerMode.SPARSEMAX: "sparsemax",
-            NormalizerMode.ELASTIC_GLOBAL: "global",
-            NormalizerMode.ELASTIC_PER_QUERY: "per_query",
-            NormalizerMode.FIXED_PER_QUERY: "fixed",
-        }[self]
 
     @property
     def learns_tau(self) -> bool:

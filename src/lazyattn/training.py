@@ -74,8 +74,13 @@ class TrainConfig:
     def validate(self, n_ctx: int) -> None:
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        if self.warmup > self.steps:
-            raise ConfigError("warmup must not exceed total steps")
+        if not 0 <= self.warmup <= self.steps:
+            raise ConfigError("warmup must lie in [0, steps]")
+        if self.peak_lr < 0:
+            raise ConfigError("peak_lr must be >= 0")
+        for name in ("beta1", "beta2", "eval_frac"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1)")
         if self.batch_tokens < n_ctx:
             raise ConfigError(f"batch_tokens {self.batch_tokens} is below one context of {n_ctx}")
         if self.batch_tokens % n_ctx != 0:

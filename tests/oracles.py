@@ -72,10 +72,12 @@ def softmax_vec(s: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def attention_scalar_loop(q, k, v, *, bias_vec=None, window=0, tau=None, kind="none"):
+def attention_scalar_loop(q, k, v, *, bias_vec=None, window=0, tau=None, kind="softmax"):
     """Single-head causal attention via explicit Python loops.
 
-    kind: 'none' (softmax), 'per_query', 'global', 'fixed', 'sparsemax'.
+    kind: a ``NormalizerMode`` value ('softmax', 'elastic', 'elastic_global',
+    'sparsemax'), or 'fixed' for the constant -1/i offset, which the library
+    runs as 'elastic' with tau = -1.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -96,11 +98,11 @@ def attention_scalar_loop(q, k, v, *, bias_vec=None, window=0, tau=None, kind="n
             w = sparsemax_bisection(s)
         else:
             p = softmax_vec(s)
-            if kind == "none":
+            if kind == "softmax":
                 w = p
-            elif kind == "per_query":
+            elif kind == "elastic":
                 w = np.maximum(p + tau / (i + 1), 0.0)
-            elif kind == "global":
+            elif kind == "elastic_global":
                 w = np.maximum(p + tau, 0.0)
             elif kind == "fixed":
                 w = np.maximum(p - 1.0 / (i + 1), 0.0)

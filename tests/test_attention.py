@@ -27,8 +27,16 @@ MODES = {
     "softmax": NormalizerMode.SOFTMAX,
     "elastic": NormalizerMode.ELASTIC_PER_QUERY,
     "elastic_global": NormalizerMode.ELASTIC_GLOBAL,
-    "fixed": NormalizerMode.FIXED_PER_QUERY,
+    "fixed": NormalizerMode.ELASTIC_PER_QUERY,  # the constant -1/i offset, see mode_taus
 }
+
+
+def mode_taus(mode, taus):
+    """Per-head taus for a ``MODES`` key: "fixed" pins every head at -1.
+
+    The keys double as ``attention_scalar_loop`` kinds.
+    """
+    return np.full(len(taus), -1.0) if mode == "fixed" else np.asarray(taus, dtype=float)
 
 
 def make_cfg(mode="softmax", heads=1, dh=8, positional="rope_bias", tile=64, path="naive"):
@@ -127,14 +135,13 @@ def test_attend_naive_matches_scalar_loop(mode):
     n, dh, window = 16, 8, 4
     q32, k32, v32 = rand_qkv(rng, n, dh, dtype="float32")
     bias = Tensor(rng.normal(size=(1, window + 1)) * 0.3, dtype="float32")
-    tau = Tensor(np.array([-0.7]), dtype="float32")
+    tau = Tensor(mode_taus(mode, [-0.7]), dtype="float32")
     cfg = make_cfg(mode)
     cap = CaptureBuffer()
     out = attend_naive(q32, k32, v32, cfg, bias=bias, tau=tau, capture=cap)
-    kind = cfg.normalizer.offset_kind
     want, weights = attention_scalar_loop(
         q32.data, k32.data, v32.data, bias_vec=bias.data[0], window=window,
-        tau=-0.7, kind=kind)
+        tau=-0.7, kind=mode)
     assert np.abs(out.data - want).max() < 1e-6
     assert np.abs(cap.layers[0][0, 0] - weights).max() < 1e-6
 
@@ -178,12 +185,12 @@ def test_two_pass_single_tile_reproduces_naive_exactly():
     n, heads, dh, batch = 24, 2, 8, 2
     arrays = {name: rng.normal(size=(batch * n, heads * dh)) for name in "qkv"}
     arrays["bias"] = rng.normal(size=(heads, 9))
-    arrays["tau"] = np.array([-1.0, 0.3])
     cot = rng.normal(size=(batch * n, heads * dh))
     differ = []
     for dtype in ("float32", "float64"):
         for mode in MODES:
             cfg = make_cfg(mode, heads=heads, dh=dh, tile=n)
+            arrays["tau"] = mode_taus(mode, [-1.0, 0.3])
             got_out, got = attend_with_grads(attend_two_pass, cfg, arrays, cot, batch, dtype)
             want_out, want = attend_with_grads(attend_naive, cfg, arrays, cot, batch, dtype)
             if not np.array_equal(got_out, want_out):
@@ -202,7 +209,7 @@ def test_two_pass_matches_naive_forward(mode, tile):
     n, heads, dh, batch = 256, 2, 8, 1
     q, k, v = rand_qkv(rng, batch * n, heads * dh, dtype="float32")
     bias = Tensor(rng.normal(size=(heads, 33)) * 0.5, dtype="float32")
-    tau = Tensor(np.array([-1.0, -0.4]), dtype="float32")
+    tau = Tensor(mode_taus(mode, [-1.0, -0.4]), dtype="float32")
     cfg = make_cfg(mode, heads=heads, dh=dh, tile=tile)
     a = attend_naive(q, k, v, cfg, bias=bias, tau=tau, batch=batch)
     b = attend_two_pass(q, k, v, cfg, bias=bias, tau=tau, batch=batch)
@@ -219,7 +226,7 @@ def test_two_pass_matches_naive_backward_float64(mode):
         rng2 = np.random.default_rng(12)
         q, k, v = rand_qkv(rng2, batch * n, heads * dh, grad=True)
         bias = Tensor(rng2.normal(size=(heads, 17)) * 0.5, requires_grad=True, dtype="float64")
-        tau = Tensor(np.array([-1.0, -0.3]), requires_grad=True, dtype="float64")
+        tau = Tensor(mode_taus(mode, [-1.0, -0.3]), requires_grad=True, dtype="float64")
         cfg = make_cfg(mode, heads=heads, dh=dh, tile=16)
         with Tape() as tape:
             out = attend(q, k, v, cfg, bias=bias, tau=tau, batch=batch)
@@ -323,8 +330,9 @@ def test_two_pass_matches_naive_on_random_shapes(case):
     arrays = {name: rng.normal(size=(batch * n, heads * dh)) for name in "qkv"}
     if case["positional"] == "rope_bias":
         arrays["bias"] = rng.normal(size=(heads, case["window"] + 1)) * 0.5
+    taus = mode_taus(case["mode"], case["taus"])
     if MODES[case["mode"]].learns_tau:
-        arrays["tau"] = np.array(case["taus"])
+        arrays["tau"] = taus
     cot = rng.normal(size=(batch * n, heads * dh))
     cfg = make_cfg(case["mode"], heads=heads, dh=dh, positional=case["positional"],
                    tile=case["tile"])
@@ -343,12 +351,11 @@ def test_two_pass_matches_naive_on_random_shapes(case):
         ts = {name: Tensor(a, dtype="float64") for name, a in arrays.items()}
         out = attend_naive(ts["q"], ts["k"], ts["v"], cfg, bias=ts.get("bias"),
                            tau=ts.get("tau"), batch=batch).data
-        kind = MODES[case["mode"]].offset_kind
         for b in range(batch):
             rows = slice(b * n, (b + 1) * n)
             want, _ = attention_scalar_loop(arrays["q"][rows], arrays["k"][rows],
                                             arrays["v"][rows], bias_vec=bias_vec, window=window,
-                                            tau=case["taus"][0], kind=kind)
+                                            tau=taus[0], kind=case["mode"])
             assert np.abs(out[rows] - want).max() < 1e-10
 
 

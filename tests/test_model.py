@@ -236,6 +236,7 @@ MANIFEST_CORRUPTIONS = {
     "config invalid value": _set(["config", "d_model"], 15),
     "config zero heads": _set(["config", "n_heads"], 0),
     "config unknown normalizer": _set(["config", "normalizer"], "entmax"),
+    "config removed normalizer fixed": _set(["config", "normalizer"], "fixed"),
     "params not a list": _set(["params"], {"embed": [257, 16]}),
     "params entry not an object": _set(["params", 0], "embed"),
     "params entry without shape": _set(["params", 0, "shape"], None),

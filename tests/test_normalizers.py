@@ -16,13 +16,12 @@ from lazyattn.attention import AttentionConfig, CaptureBuffer, attend_naive
 from lazyattn.core import Tensor
 from lazyattn.normalizers import NormalizerMode, density_and_sink, sparsemax_row
 
-from oracles import check_grads, softmax_vec, sparsemax_bisection
+from oracles import attention_scalar_loop, check_grads, softmax_vec, sparsemax_bisection
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False)
 
 ELASTIC = NormalizerMode.ELASTIC_PER_QUERY
 GLOBAL = NormalizerMode.ELASTIC_GLOBAL
-FIXED = NormalizerMode.FIXED_PER_QUERY
 
 
 def score_qkv(scores, grad=False):
@@ -66,8 +65,7 @@ def weight_rows(scores, mode, tau=None):
 
 def test_elastic_uniform_scores_cancel_exactly():
     zeros = np.zeros((64, 64))
-    for mode, tau in ((ELASTIC, -1.0), (FIXED, None)):
-        assert np.all(weight_rows(zeros, mode, tau) == 0.0)  # 1/i - 1/i rectifies to exactly zero
+    assert np.all(weight_rows(zeros, ELASTIC, -1.0) == 0.0)  # 1/i - 1/i rectifies to exactly zero
 
 
 def test_elastic_zero_tau_is_softmax():
@@ -77,15 +75,6 @@ def test_elastic_zero_tau_is_softmax():
     for i in range(9):
         assert np.abs(rows[i, : i + 1] - softmax_vec(s[i, : i + 1])).max() < 1e-7
         assert np.all(rows[i, i + 1:] == 0.0)
-
-
-def test_elastic_zero_tau_bit_comparable_to_core_softmax():
-    rng = np.random.default_rng(8)
-    s = rng.normal(size=(11, 11))
-    rows = weight_rows(s, ELASTIC, 0.0)
-    for i in range(11):
-        want = core.softmax_lastdim(Tensor(s[i, : i + 1], dtype="float64")).data
-        assert np.abs(rows[i, : i + 1] - want).max() < 1e-7
 
 
 def test_elastic_first_query_forced_to_zero():
@@ -105,15 +94,19 @@ def test_elastic_reference_values():
 
 
 def test_fixed_offset_examples():
-    assert np.all(weight_rows(np.zeros((6, 6)), FIXED) == 0.0)
+    """The constant -1/i offset is elastic at tau = -1."""
+    assert np.all(weight_rows(np.zeros((6, 6)), ELASTIC, -1.0) == 0.0)
     s = np.zeros((2, 2))
     s[1] = [math.log(3.0), 0.0]
-    assert np.allclose(weight_rows(s, FIXED)[1], [0.25, 0.0], atol=1e-12)
+    assert np.allclose(weight_rows(s, ELASTIC, -1.0)[1], [0.25, 0.0], atol=1e-12)
 
 
 def test_fixed_offset_matches_frozen_elastic():
+    """Elastic at tau = -1 against the scalar loop's independent fixed-offset rows."""
     s = np.random.default_rng(1).normal(size=(11, 11))
-    assert np.array_equal(weight_rows(s, FIXED), weight_rows(s, ELASTIC, -1.0))
+    q, k, v = score_qkv(s)
+    _, want = attention_scalar_loop(q.data, k.data, v.data, kind="fixed")
+    assert np.abs(weight_rows(s, ELASTIC, -1.0) - want).max() < 1e-12
 
 
 def test_global_offset_examples():

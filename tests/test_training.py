@@ -430,29 +430,42 @@ def test_parse_config_rejects_bad_lines(tmp_path):
 
 
 BAD_MODEL_KEYS = {
-    "zero heads": "n_heads = 0\n",
-    "sparsemax on the two-pass path": "normalizer = sparsemax\nattention_path = two_pass\n",
-    "unknown positional mode": "positional = bogus\n",
+    "zero heads": ("n_heads = 0\n", "n_heads"),
+    "sparsemax on the two-pass path": ("normalizer = sparsemax\nattention_path = two_pass\n",
+                                       "sparsemax"),
+    "unknown positional mode": ("positional = bogus\n", "positional mode 'bogus'"),
+    "float16": ("dtype = float16\n", "unsupported dtype 'float16'"),
+    "negative window": ("window = -1\n", "window must be >= 0"),
+    "fixed normalizer": ("normalizer = fixed\n",
+                         "expected one of softmax, sparsemax, elastic_global, elastic"),
 }
 
 
 @pytest.mark.parametrize("bad", list(BAD_MODEL_KEYS))
-def test_bad_model_keys_fail_before_training_writes(bad, small_corpus_path, tmp_path):
+def test_bad_model_keys_fail_before_training_writes(bad, small_corpus_path, tmp_path, capsys):
     from lazyattn.cli import main
 
     cfg = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"
-    cfg.write_text(f"corpus = {small_corpus_path}\nout_dir = {out_dir}\n" + BAD_MODEL_KEYS[bad])
-    with pytest.raises(ConfigError):
+    lines, message = BAD_MODEL_KEYS[bad]
+    cfg.write_text(f"corpus = {small_corpus_path}\nout_dir = {out_dir}\n" + lines)
+    with pytest.raises(ConfigError, match=message):
         build_configs(parse_config_file(cfg))
     assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
     assert not out_dir.exists()
 
 
 BAD_TRAIN_KEYS = {
-    "zero batch_tokens": ("batch_tokens = 0\n", "batch_tokens 0"),
-    "negative batch_tokens": ("batch_tokens = -32\n", "batch_tokens -32"),
-    "mask_at past the context": ("mask_token = true\nmask_at = 40\n", "mask position 40"),
+    "zero batch_tokens": ({"batch_tokens": 0}, "batch_tokens 0"),
+    "negative batch_tokens": ({"batch_tokens": -32}, "batch_tokens -32"),
+    "mask_at past the context": ({"mask_token": "true", "mask_at": 40}, "mask position 40"),
+    "negative warmup": ({"warmup": -5}, "warmup must lie in [0, steps]"),
+    "negative peak_lr": ({"peak_lr": -1}, "peak_lr must be >= 0"),
+    "beta1 above one": ({"beta1": 1.5}, "beta1 must lie in [0, 1)"),
+    "negative beta1": ({"beta1": -0.1}, "beta1 must lie in [0, 1)"),
+    "beta2 of one": ({"beta2": 1.0}, "beta2 must lie in [0, 1)"),
+    "eval_frac above one": ({"eval_frac": 1.5}, "eval_frac must lie in [0, 1)"),
 }
 
 
@@ -463,10 +476,10 @@ def test_bad_train_keys_fail_before_training_writes(bad, small_corpus_path, tmp_
 
     cfg = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"
-    lines, message = BAD_TRAIN_KEYS[bad]
-    cfg.write_text(f"corpus = {small_corpus_path}\nout_dir = {out_dir}\n"
-                   "steps = 8\nwarmup = 2\nn_layers = 1\nd_model = 32\nn_heads = 2\n"
-                   "n_ctx = 32\nwindow = 8\n" + lines)
+    overrides, message = BAD_TRAIN_KEYS[bad]
+    keys = {"corpus": small_corpus_path, "out_dir": out_dir, "steps": 8, "warmup": 2,
+            "n_layers": 1, "d_model": 32, "n_heads": 2, "n_ctx": 32, "window": 8, **overrides}
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
     assert main(["train", "--config", str(cfg), "--quiet"]) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
