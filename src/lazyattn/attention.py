@@ -12,10 +12,11 @@ keeps auxiliary memory linear in sequence length for a fixed tile size.
 The backward rebuilds each block from those statistics instead of
 storing the full matrix.
 
-Both paths read position biases through one helper: a learned table or
-the fixed ALiBi decay becomes a distance table, looked up through a
-cached distance index per row tile (the naive path's tile is the whole
-square), and score gradients fold back through the same index.
+Both paths add one score term per row tile (the naive path's tile is the
+whole square): a read-only strided view of a line over decreasing
+distance that carries the learned table or the fixed ALiBi decay and the
+causal mask (-inf above the diagonal) in one addition. Score gradients
+fold back onto the table through a shifted copy of each group's rows.
 
 Sparsemax needs globally sorted rows, which does not stream; it is
 supported on the naive path only.
@@ -31,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import ShapeError, Tensor, matmul, record_op
 from .normalizers import NormalizerMode, sparsemax_row, sparsemax_vjp
@@ -135,19 +137,9 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, batch: 
     return n
 
 
-def _distance_table(tb: np.ndarray) -> tuple[np.ndarray, int]:
-    """(H, window+1) distance biases -> (H, window+2) table and window.
-
-    The appended zero column is the sentinel that ``_row_distances`` sends
-    every distance outside [0, window] to.
-    """
-    sentinel = np.zeros((tb.shape[0], 1), dtype=tb.dtype)
-    return np.concatenate([tb, sentinel], axis=1), tb.shape[1] - 1
-
-
 def _resolve_bias(bias: Tensor | None, config: AttentionConfig, n: int,
-                  dtype) -> tuple[np.ndarray | None, int]:
-    """Distance table of the positional mode (see ``_distance_table``), or (None, 0).
+                  dtype) -> np.ndarray | None:
+    """(H, k) distance table of the positional mode, or None.
 
     ALiBi is the fixed table -slope_h * d over the n distances of a
     length-n sequence; under ``rope_bias`` the table is ``bias``, if given.
@@ -163,10 +155,10 @@ def _resolve_bias(bias: Tensor | None, config: AttentionConfig, n: int,
     if config.positional == "alibi":
         slopes = np.array([alibi_slope(hd, config.n_heads) for hd in range(config.n_heads)],
                           dtype=dtype)
-        return _distance_table(-slopes[:, None] * np.arange(n, dtype=dtype))
+        return -slopes[:, None] * np.arange(n, dtype=dtype)
     if bias is None:
-        return None, 0
-    return _distance_table(tb.astype(dtype, copy=False))
+        return None
+    return tb.astype(dtype, copy=False)
 
 
 def _resolve_tau(tau: Tensor | None, config: AttentionConfig, batch: int) -> np.ndarray | None:
@@ -180,39 +172,41 @@ def _resolve_tau(tau: Tensor | None, config: AttentionConfig, batch: int) -> np.
     return np.tile(td, batch)  # group g = b * H + h
 
 
-@functools.lru_cache(maxsize=128)
-def _row_distances(r0: int, r1: int, window: int) -> np.ndarray:
-    """Read-only distance index for query rows [r0, r1) against key columns [0, r1).
+def _distance_term(table: np.ndarray | None, r0: int, r1: int, dtype) -> np.ndarray:
+    """Read-only (H, r1-r0, r1) score term for query rows [r0, r1) against keys [0, r1).
 
-    Entry (i, j) is the distance r0 + i - j, or the sentinel ``window + 1``
-    when it lies outside [0, window] (the validity mask, folded into the index).
+    Entry (h, i, j) depends only on the distance d = r0 + i - j: -inf for
+    d < 0 (the causal mask), table[h, d] for 0 <= d < k, and 0 beyond the
+    (H, k) table; without a table H is 1. It is a strided view of one line
+    over decreasing distance, from r1 - 1 down to r0 - r1 + 1.
     """
-    d = np.arange(r0, r1)[:, None] - np.arange(r1)[None, :]
-    idx = np.where((d >= 0) & (d <= window), d, window + 1)
-    idx.setflags(write=False)
-    return idx
+    if table is None:
+        table = np.zeros((1, 0), dtype=dtype)
+    h, rows = table.shape[0], r1 - r0
+    near = table[:, :r1][:, ::-1]
+    line = np.concatenate([np.zeros((h, r1 - near.shape[1]), dtype=dtype), near,
+                           np.full((h, rows - 1), -np.inf, dtype=dtype)], axis=1)
+    return sliding_window_view(line, r1, axis=1)[:, ::-1]
 
 
-def _row_bias(table: np.ndarray, window: int, r0: int, r1: int) -> np.ndarray:
-    """(H, r1-r0, r1) additive score bias for query rows [r0, r1), keys [0, r1).
+def _fold_distance_grad(ds: np.ndarray, dtable: np.ndarray) -> None:
+    """Add (G, T, r1) score grads of rows [r1 - T, r1), keys [0, r1) onto the (H, k) table grad.
 
-    ``table`` comes from ``_distance_table``; the naive path takes the whole
-    square as one row tile (r0 = 0, r1 = n).
+    Each group's row i is copied, shifted right by T - 1 - i, into one
+    (T, r1 + T - 1) scratch block, so that column c holds distance r1 - 1 - c;
+    the block's column sums are the group's gradient per distance. Group g
+    is head g % H, as ``_split_groups`` orders them.
     """
-    return np.take(table, _row_distances(r0, r1, window), axis=1)
-
-
-def _row_bias_grad(g_h: np.ndarray, window: int, r0: int) -> np.ndarray:
-    """Fold (H, T, r0+T) score grads for rows [r0, r0+T), keys [0, r0+T) onto the table.
-
-    One head at a time, so the fold's extra memory is one head's block.
-    """
-    h, rows, _ = g_h.shape
-    idx = _row_distances(r0, r0 + rows, window).reshape(-1)
-    out = np.empty((h, window + 1), dtype=g_h.dtype)
-    for hi in range(h):
-        out[hi] = np.bincount(idx, weights=g_h[hi].reshape(-1), minlength=window + 2)[:-1]
-    return out
+    groups, rows, r1 = ds.shape
+    h, k = dtable.shape
+    near = min(k, r1)
+    fold = np.zeros((rows, r1 + rows - 1), dtype=ds.dtype)  # never-written entries stay 0
+    step = fold.strides[1]
+    shifted = as_strided(fold[:, rows - 1:], shape=(rows, r1),
+                         strides=(fold.strides[0] - step, step))
+    for g in range(groups):
+        shifted[...] = ds[g]
+        dtable[g % h, :near] += fold[:, r1 - near:r1].sum(axis=0)[::-1]
 
 
 def _tape_inputs(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, tau: Tensor | None,
@@ -226,12 +220,12 @@ def _tape_inputs(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, tau: Tens
     return tuple(inputs)
 
 
-def _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau: Tensor | None, batch: int,
-                n_heads: int) -> tuple:
-    """Gradients in ``_tape_inputs`` order, with q, k, v back in flat layout."""
+def _pack_grads(dq3, dk3, dv3, dbias, dtau_h, bias: Tensor | None, tau: Tensor | None,
+                batch: int, n_heads: int) -> tuple:
+    """Gradients in ``_tape_inputs`` order, each in its input's shape."""
     grads = [_merge_groups(x, batch, n_heads) for x in (dq3, dk3, dv3)]
     if dbias is not None:
-        grads.append(dbias)
+        grads.append(dbias.reshape(bias.shape))
     if dtau_h is not None:
         grads.append(dtau_h.astype(dq3.dtype).reshape(tau.shape))
     return tuple(grads)
@@ -279,7 +273,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     dtype = q.data.dtype
     sc = 1.0 / math.sqrt(dh)
     mode = config.normalizer
-    table, window = _resolve_bias(bias, config, n, dtype)
+    table = _resolve_bias(bias, config, n, dtype)
     tau_g = _resolve_tau(tau, config, batch)
     lower = _lower_mask(n)
 
@@ -289,9 +283,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
 
     s = q3 @ k3.transpose(0, 2, 1)
     s *= sc
-    if table is not None:
-        s.reshape(batch, h, n, n)[...] += _row_bias(table, window, 0, n)[None]
-    np.copyto(s, -np.inf, where=~lower)
+    s.reshape(batch, h, n, n)[...] += _distance_term(table, 0, n, dtype)
     off = _row_offsets(mode, tau_g, n, dtype)
     w, p, gate = _normalize_full(s, mode, off, lower)
     inputs = _tape_inputs(q, k, v, bias, tau, config)
@@ -330,8 +322,9 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         dk3 *= sc
         dbias = None
         if bias is not None:
-            dbias = _row_bias_grad(ds.reshape(batch, h, n, n).sum(axis=0), window, 0)
-        return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau, batch, h)
+            dbias = np.zeros_like(table)
+            _fold_distance_grad(ds, dbias)
+        return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, bias, tau, batch, h)
 
     return record_op(out, inputs, vjp)
 
@@ -372,7 +365,7 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     sc = 1.0 / math.sqrt(dh)
     tile = min(config.tile, n)
 
-    table, window = _resolve_bias(bias, config, n, dtype)
+    table = _resolve_bias(bias, config, n, dtype)
     tau_g = _resolve_tau(tau, config, batch)
     off = _row_offsets(mode, tau_g, n, dtype)
 
@@ -392,9 +385,9 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         """
         p = q3[:, r0:r1] @ k3[:, :r1].transpose(0, 2, 1)
         p *= sc
-        if table is not None:
-            p.reshape(batch, h, r1 - r0, r1)[...] += _row_bias(table, window, r0, r1)[None]
-        np.copyto(p[:, :, r0:], -np.inf, where=~_lower_mask(r1 - r0))
+        c0 = 0 if table is not None else r0  # a mask-only term touches the last r1 - r0 columns
+        p[:, :, c0:].reshape(batch, h, r1 - r0, r1 - c0)[...] += _distance_term(
+            table, r0 - c0, r1 - c0, dtype)
         if fresh:
             m[:, r0:r1] = p.max(axis=-1)
         p -= m[:, r0:r1, None]
@@ -423,9 +416,8 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         if cap is not None:
             cap[:, r0:r1, :r1] = w
         if meter is not None:
-            # the score block (weights in place) and its bias block, the row max and sum, O
-            bias_bytes = 0 if table is None else w.nbytes // batch
-            meter.observe(w.nbytes + bias_bytes + m.nbytes + l.nbytes + out3.nbytes)
+            # the score block (weights in place), the row max and sum, O
+            meter.observe(w.nbytes + m.nbytes + l.nbytes + out3.nbytes)
 
     inputs = _tape_inputs(q, k, v, bias, tau, config)
     out = Tensor(_merge_groups(out3, batch, h),
@@ -441,7 +433,7 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         dk3 = np.zeros_like(k3)
         dv3 = np.zeros_like(v3)
         dtau_g = np.zeros(groups, dtype=dtype) if mode.learns_tau else None
-        dbias = None if bias is None else np.zeros((h, window + 1), dtype=dtype)
+        dbias = None if bias is None else np.zeros_like(table)
         for r0, r1 in tiles:
             p = prob_block(r0, r1)
             gt = g3[:, r0:r1]
@@ -461,12 +453,11 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
             dq3[:, r0:r1] = ds @ k3[:, :r1]
             dk3[:, :r1] += ds.transpose(0, 2, 1) @ q3[:, r0:r1]
             if dbias is not None:
-                dbias += _row_bias_grad(ds.reshape(batch, h, r1 - r0, r1).sum(axis=0),
-                                        window, r0)
+                _fold_distance_grad(ds, dbias)
         dq3 *= sc
         dk3 *= sc
         dtau_h = None if dtau_g is None else dtau_g.reshape(batch, h).sum(axis=0)
-        return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, tau, batch, h)
+        return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, bias, tau, batch, h)
 
     return record_op(out, inputs, vjp)
 

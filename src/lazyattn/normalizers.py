@@ -100,9 +100,9 @@ def density_and_sink(layer_weights: list[np.ndarray]):
     for layer, w in enumerate(layer_weights):
         if w.ndim != 4 or w.shape[2] != w.shape[3] or w.shape[2] < 1:
             raise ValueError(f"capture for layer {layer} has shape {w.shape}; expected (B, H, n, n)")
-        w64 = w.astype(np.float64, copy=False)
-        sink_bh = w64[:, :, :, 0].mean(axis=(0, 2))  # (H,)
-        dens_bh = w64[:, :, :, 1:].sum(axis=3).mean(axis=(0, 2))
+        # reduced in float64 without a float64 copy of the whole capture
+        sink_bh = w[:, :, :, 0].mean(axis=(0, 2), dtype=np.float64)  # (H,)
+        dens_bh = w[:, :, :, 1:].sum(axis=3, dtype=np.float64).mean(axis=(0, 2))
         for head in range(w.shape[1]):
             per_head[(layer, head)] = (100.0 * float(dens_bh[head]), 100.0 * float(sink_bh[head]))
             densities.append(float(dens_bh[head]))

@@ -76,8 +76,9 @@ class TrainConfig:
             raise ConfigError("steps must be >= 1")
         if not 0 <= self.warmup <= self.steps:
             raise ConfigError("warmup must lie in [0, steps]")
-        if self.peak_lr < 0:
-            raise ConfigError("peak_lr must be >= 0")
+        for name in ("peak_lr", "weight_decay", "grad_clip", "seed", "eval_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         for name in ("beta1", "beta2", "eval_frac"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1)")

@@ -20,8 +20,9 @@ from lazyattn.attention import (
 from lazyattn.core import Tape, Tensor, backward
 from lazyattn.normalizers import NormalizerMode
 from lazyattn.positional import RopeConfig, apply_rope
+from lazyattn.training import AdamW
 
-from oracles import attention_scalar_loop, check_grads, rel_err
+from oracles import attention_scalar_loop, check_grads, finite_diff, rel_err
 
 MODES = {
     "softmax": NormalizerMode.SOFTMAX,
@@ -49,9 +50,9 @@ def rand_qkv(rng, n, width, dtype="float64", grad=False):
                  for _ in range(3))
 
 
-def alibi_vec(n):
-    """ALiBi score biases of a single head over distances 0..n-1: -2^(-8(h+1)/H) * d at h=0, H=1."""
-    return [-(2.0 ** -8.0) * d for d in range(n)]
+def alibi_vec(n, head=0, heads=1):
+    """ALiBi score biases of one head over distances 0..n-1: -2^(-8(h+1)/H) * d."""
+    return [-(2.0 ** (-8.0 * (head + 1) / heads)) * d for d in range(n)]
 
 
 def test_scores_zero_bias_is_scaled_dot():
@@ -315,16 +316,17 @@ def attention_cases(draw, max_n=40, max_heads=3):
     mode = draw(st.sampled_from(list(MODES)))
     return dict(n=n, tile=tile, batch=draw(st.integers(1, 3)), heads=heads,
                 positional=positional, mode=mode,
-                window=draw(st.integers(0, max(n - 1, 0))),
+                window=draw(st.integers(0, n + 8)),  # tables wider than the sequence too
                 taus=draw(st.lists(st.floats(-1.5, 0.5), min_size=heads, max_size=heads)),
                 seed=draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(deadline=None, max_examples=80)
-@given(st.one_of(attention_cases(), attention_cases(max_n=8, max_heads=1)))
+@given(st.one_of(attention_cases(), attention_cases(max_n=8)))
 def test_two_pass_matches_naive_on_random_shapes(case):
-    """Two-pass against naive on every draw; naive against the scalar loop on the
-    single-head draws with n <= 8, which the second strategy supplies about half the time."""
+    """Two-pass against naive on every draw; on the draws with n <= 8, which the
+    second strategy supplies about half the time, naive's output and bias-table
+    gradient against the scalar loop, per head and batch row."""
     n, batch, heads, dh = case["n"], case["batch"], case["heads"], 4
     rng = np.random.default_rng(case["seed"])
     arrays = {name: rng.normal(size=(batch * n, heads * dh)) for name in "qkv"}
@@ -342,21 +344,34 @@ def test_two_pass_matches_naive_on_random_shapes(case):
                   batch=batch).data for attend in (attend_two_pass, attend_naive)]
     assert np.abs(fwd[0] - fwd[1]).max() < 1e-5
     assert_two_pass_grads_match_naive(cfg, arrays, cot, batch)
-    if heads == 1 and n <= 8:  # the shared bias code, against an independent reference
+    if n > 8:
+        return
+    # the shared bias code, against an independent reference
+    out, grads = attend_with_grads(attend_naive, cfg, arrays, cot, batch, "float64")
+
+    def loop(h, bias_vec, window):
+        """Scalar-loop output of head h for each batch row, and sum(output * cot)."""
+        outs, loss = [], 0.0
+        for b in range(batch):
+            rows, cols = slice(b * n, (b + 1) * n), slice(h * dh, (h + 1) * dh)
+            o, _ = attention_scalar_loop(arrays["q"][rows, cols], arrays["k"][rows, cols],
+                                         arrays["v"][rows, cols], bias_vec=bias_vec,
+                                         window=window, tau=taus[h], kind=case["mode"])
+            outs.append(o)
+            loss += float((o * cot[rows, cols]).sum())
+        return np.concatenate(outs), loss
+
+    for h in range(heads):
         bias_vec, window = None, 0
         if case["positional"] == "rope_bias":
-            bias_vec, window = arrays["bias"][0], case["window"]
+            bias_vec, window = arrays["bias"][h], case["window"]
         elif case["positional"] == "alibi":
-            bias_vec, window = alibi_vec(n), n
-        ts = {name: Tensor(a, dtype="float64") for name, a in arrays.items()}
-        out = attend_naive(ts["q"], ts["k"], ts["v"], cfg, bias=ts.get("bias"),
-                           tau=ts.get("tau"), batch=batch).data
-        for b in range(batch):
-            rows = slice(b * n, (b + 1) * n)
-            want, _ = attention_scalar_loop(arrays["q"][rows], arrays["k"][rows],
-                                            arrays["v"][rows], bias_vec=bias_vec, window=window,
-                                            tau=taus[0], kind=case["mode"])
-            assert np.abs(out[rows] - want).max() < 1e-10
+            bias_vec, window = alibi_vec(n, h, heads), n
+        want, _ = loop(h, bias_vec, window)
+        assert np.abs(out[:, h * dh:(h + 1) * dh] - want).max() < 1e-10
+        if case["positional"] == "rope_bias":
+            [fd] = finite_diff(lambda vec: loop(h, vec, window)[1], [bias_vec.copy()])
+            assert rel_err(grads["bias"][h], fd) < 1e-6
 
 
 @pytest.mark.parametrize("mode", ["elastic", "elastic_global"])
@@ -393,9 +408,29 @@ def test_bias_table_needs_rope_bias(attend, positional):
         attend(q, k, v, make_cfg("softmax", positional=positional), bias=bias)
 
 
+@pytest.mark.parametrize("attend", [attend_naive, attend_two_pass])
+def test_one_head_bias_vector_gets_a_gradient_of_its_shape(attend):
+    """A 1-D (window+1,) table for one head gets its gradient in that shape, the
+    (1, window+1) table's values, so an AdamW step updates it in place."""
+    rng = np.random.default_rng(24)
+    q, k, v = rand_qkv(rng, 6, 8)
+    vec = Tensor(rng.normal(size=4), requires_grad=True, dtype="float64")
+    mat = Tensor(vec.data[None].copy(), requires_grad=True, dtype="float64")
+    cot = Tensor(rng.normal(size=(6, 8)), dtype="float64")
+    for bias in (vec, mat):
+        with Tape() as tape:
+            loss = core.sum_all(core.mul(attend(q, k, v, make_cfg("softmax", tile=4), bias=bias),
+                                         cot))
+        backward(tape, loss)
+    assert vec.grad.shape == (4,) and np.all(vec.grad[:3] != 0.0)
+    assert np.array_equal(vec.grad, mat.grad[0])
+    AdamW({"attn.bias_table": vec}).step(1e-2)
+    assert vec.data.shape == (4,)
+
+
 def test_two_pass_meter_counts_one_block_and_the_row_state():
-    """Peak auxiliary bytes: the last row tile's score block (weights in place) and
-    its bias block, the row max and sum, and O; the same with and without a tape."""
+    """Peak auxiliary bytes: the last row tile's score block (weights in place), the
+    row max and sum, and O; the same with and without a tape."""
     rng = np.random.default_rng(21)
     n, heads, dh, batch, tile = 96, 2, 8, 2, 16
     g, isz = batch * heads, 4
@@ -403,8 +438,8 @@ def test_two_pass_meter_counts_one_block_and_the_row_state():
     bias = Tensor(rng.normal(size=(heads, 9)), requires_grad=True, dtype="float32")
     tau = Tensor(np.array([-1.0, -0.5]), requires_grad=True, dtype="float32")
     cfg = make_cfg("elastic", heads=heads, dh=dh, tile=tile)
-    blocks = (g + heads) * tile * n  # rows [80, 96) against keys [0, 96)
-    want = (blocks + 2 * g * n + g * n * dh) * isz
+    block = g * tile * n  # rows [80, 96) against keys [0, 96)
+    want = (block + 2 * g * n + g * n * dh) * isz
 
     meter = AllocationMeter()
     attend_two_pass(q, k, v, cfg, bias=bias, tau=tau, batch=batch, meter=meter)
@@ -418,14 +453,14 @@ def test_two_pass_meter_counts_one_block_and_the_row_state():
 
 def test_two_pass_builds_each_score_block_once_per_pass(monkeypatch):
     """A tape-free forward builds one score block per row tile, and the backward
-    rebuilds each once more; under rope_bias the bias helper counts the blocks."""
+    rebuilds each once more; under rope_bias the distance term counts the blocks."""
     from lazyattn import attention
 
     built = []
-    row_bias = attention._row_bias
-    monkeypatch.setattr(attention, "_row_bias",
-                        lambda table, window, r0, r1: built.append((r0, r1))
-                        or row_bias(table, window, r0, r1))
+    term = attention._distance_term
+    monkeypatch.setattr(attention, "_distance_term",
+                        lambda table, r0, r1, dtype: built.append((r0, r1))
+                        or term(table, r0, r1, dtype))
     rng = np.random.default_rng(23)
     n, heads, dh, batch = 40, 2, 4, 2
     q, k, v = rand_qkv(rng, batch * n, heads * dh, grad=True)

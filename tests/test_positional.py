@@ -8,10 +8,9 @@ import pytest
 from lazyattn import core
 from lazyattn.attention import (
     AttentionConfig,
-    _distance_table,
+    _distance_term,
+    _fold_distance_grad,
     _resolve_bias,
-    _row_bias,
-    _row_bias_grad,
 )
 from lazyattn.core import Tape, Tensor, backward
 from lazyattn.positional import (
@@ -113,29 +112,37 @@ def test_bias_table_starts_at_zero():
 
 
 def test_distance_bias_matrix_and_grad_roundtrip():
-    """The attention paths' row-tile bias block and its gradient fold, against scalar loops."""
+    """The attention paths' row-tile score term and its gradient fold, against scalar loops."""
     rng = np.random.default_rng(4)
-    biases = rng.normal(size=(2, 4))
-    table, window = _distance_table(biases)
-    assert window == 3
-    for r0, r1 in [(0, 6), (3, 7)]:  # the whole square; rows [3, 7) x keys [0, 7) (window < n)
-        m = _row_bias(table, window, r0, r1)
+    for k, r0, r1 in [(4, 0, 6), (4, 3, 7), (9, 2, 7), (9, 0, 1)]:
+        # the whole square; rows [3, 7) x keys [0, 7) (table narrower than the keys);
+        # tables wider than r1 (distances past r1 - 1 never occur); one row
+        biases = rng.normal(size=(2, k))
+        m = _distance_term(biases, r0, r1, np.float64)
         want = np.zeros((2, r1 - r0, r1))
         for h in range(2):
             for i in range(r0, r1):
                 for j in range(r1):
-                    if 0 <= i - j <= window:
+                    if j > i:
+                        want[h, i - r0, j] = -np.inf
+                    elif i - j < k:
                         want[h, i - r0, j] = biases[h, i - j]
-        assert np.array_equal(m, want)  # 0 above the diagonal and beyond the window
-        g = rng.normal(size=m.shape)
-        folded = _row_bias_grad(g, window, r0)
-        want = np.zeros((2, window + 1))
-        for h in range(2):
+        assert np.array_equal(m, want)  # -inf above the diagonal, 0 beyond the table
+        assert not m.flags.writeable
+        mask = _distance_term(None, r0, r1, np.float64)
+        assert mask.shape == (1, r1 - r0, r1)
+        assert np.array_equal(mask[0], np.where(np.isinf(want[0]), -np.inf, 0.0))
+
+        g = rng.normal(size=(6, r1 - r0, r1))  # 3 batch rows x 2 heads, group g = b * 2 + h
+        folded = np.zeros((2, k))
+        _fold_distance_grad(g, folded)
+        want = np.zeros((2, k))
+        for gi in range(6):
             for i in range(r0, r1):
                 for j in range(i + 1):
-                    if i - j <= window:
-                        want[h, i - j] += g[h, i - r0, j]
-        assert np.allclose(folded, want)
+                    if i - j < k:
+                        want[gi % 2, i - j] += g[gi, i - r0, j]
+        assert np.allclose(folded, want, rtol=1e-12, atol=1e-12)
 
 
 def test_bias_gradient_only_at_realized_distances():
@@ -175,6 +182,6 @@ def test_alibi_values():
 def test_alibi_unit_slope_formula():
     """The ALiBi distance table the attention paths read is -slope * distance."""
     cfg = AttentionConfig(n_heads=8, head_dim=4, positional="alibi")
-    table, window = _resolve_bias(None, cfg, 5, np.float64)
-    assert window == 4 and table[1, 0] == 0.0 and table[1, window + 1] == 0.0
+    table = _resolve_bias(None, cfg, 5, np.float64)
+    assert table.shape == (8, 5) and table[1, 0] == 0.0
     assert math.isclose(table[1, 3] / alibi_slope(1, 8), -3.0, rel_tol=1e-12)

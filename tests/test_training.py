@@ -466,6 +466,10 @@ BAD_TRAIN_KEYS = {
     "negative beta1": ({"beta1": -0.1}, "beta1 must lie in [0, 1)"),
     "beta2 of one": ({"beta2": 1.0}, "beta2 must lie in [0, 1)"),
     "eval_frac above one": ({"eval_frac": 1.5}, "eval_frac must lie in [0, 1)"),
+    "negative weight_decay": ({"weight_decay": -1}, "weight_decay must be >= 0"),
+    "negative eval_every": ({"eval_every": -3}, "eval_every must be >= 0"),
+    "negative grad_clip": ({"grad_clip": -1}, "grad_clip must be >= 0"),
+    "negative seed": ({"seed": -1}, "seed must be >= 0"),
 }
 
 
