@@ -78,6 +78,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_layers < 1:
+            raise ValueError("n_layers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_heads < 1:
             raise ValueError("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:

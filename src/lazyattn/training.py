@@ -20,8 +20,11 @@ scaled by its share of the rows, and the shard gradients are summed into
 the model's in shard order, which gives the full batch's gradient (Goyal
 et al. 2017, arXiv:1706.02677) up to rounding. A shard computes the same
 bits whichever thread runs it, so a run's bits do not depend on how many
-threads ran the shards. ``mean_nll`` evaluates one batch at a time on the
-calling thread.
+threads ran the shards. ``train``'s held-out evals deal their batches to
+the same runner, one whole batch per thread at a time, and sum the
+per-batch losses in batch order. ``mean_nll`` without a runner, as the CLI
+``eval`` calls it, stays on the calling thread: on a 2-core host with steal
+time, a timed eval that needs both cores swings with the host's load.
 """
 
 from __future__ import annotations
@@ -302,22 +305,30 @@ def _sharded_grads(replicas: list[TransformerLM], batch: np.ndarray,
 
 
 def mean_nll(model: TransformerLM, chunks: np.ndarray, *, batch_size: int = 16,
-             max_len: int | None = None) -> float:
+             max_len: int | None = None, runner: _ShardRunner | None = None) -> float:
     """Mean per-token negative log-likelihood over (N, len+1) eval chunks.
 
-    Batches run one at a time on the calling thread. Two batches at a time
-    on the shard runner were ~1.6x faster on an idle 2-core host, but a
-    competing process on one core slowed them by a third, so eval figures
-    swung with the host's load.
+    The batches are dealt round-robin to ``runner``'s threads (the calling
+    thread alone without one); each is evaluated whole on one thread, and
+    the per-batch losses are summed in batch order, so the result has the
+    same bits on any number of threads. ``train`` passes its shard runner;
+    the CLI ``eval`` passes none, because on a 2-core host with steal time
+    two eval threads swung by a third with the host's load.
     """
-    total, count = 0.0, 0
-    for i in range(0, len(chunks), batch_size):
-        part = chunks[i:i + batch_size]
-        loss = model.loss(part[:, :-1], part[:, 1:], max_len=max_len)
-        n_tok = part[:, 1:].size
-        total += loss.item() * n_tok
-        count += n_tok
-    return total / count
+    starts = range(0, len(chunks), batch_size)
+    threads = runner.threads if runner is not None else 1
+
+    def batch_losses(dealt: range) -> list[float]:
+        parts = (chunks[i:i + batch_size] for i in dealt)
+        return [model.loss(p[:, :-1], p[:, 1:], max_len=max_len).item() * p[:, 1:].size
+                for p in parts]
+
+    if threads > 1:
+        losses = runner.map(batch_losses, [starts[j::threads] for j in range(threads)])
+    else:
+        losses = [batch_losses(starts)]
+    total = sum(losses[b % threads][b // threads] for b in range(len(starts)))
+    return total / chunks[:, 1:].size
 
 
 @dataclass
@@ -346,7 +357,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
     Writes to out_dir: train_log.csv (step, loss, lr, grad_norm, the global
     gradient norm before clipping, and wallclock), eval_log.csv (step,
     eval_loss, eval_ppl), run_meta.json (which also records the shard count,
-    the threads that ran the shards and whether BLAS was pinned),
+    the threads that ran the shards and the eval batches, and whether BLAS
+    was pinned),
     checkpoint.bin. Each step runs its row shards as the module docstring
     describes. Fully deterministic for a fixed (seed, config, corpus) on one
     platform, whatever the number of threads.
@@ -393,7 +405,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
     eval_path = os.path.join(train_cfg.out_dir, "eval_log.csv")
 
     def run_eval(step: int, writer) -> float:
-        el = mean_nll(model, eval_chunks, batch_size=batch_size)
+        el = mean_nll(model, eval_chunks, batch_size=batch_size, runner=runner)
         writer.writerow([step, repr(el), repr(math.exp(el))])
         return el
 

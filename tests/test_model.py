@@ -45,6 +45,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(normalizer="sparsemax", attention_path="two_pass")
     ModelConfig(normalizer="sparsemax")  # the naive path supports it
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ModelConfig(seed=-1)  # numpy's generator would reject it at model build
+    for layers in (0, -1):
+        with pytest.raises(ValueError, match="n_layers must be >= 1"):
+            ModelConfig(n_layers=layers)
 
 
 def test_vocab_size_extends_by_one_for_mask():
@@ -235,6 +240,7 @@ MANIFEST_CORRUPTIONS = {
     "config float as string": _set(["config", "rope_base"], "1e4"),
     "config invalid value": _set(["config", "d_model"], 15),
     "config zero heads": _set(["config", "n_heads"], 0),
+    "config zero layers": _set(["config", "n_layers"], 0),
     "config unknown normalizer": _set(["config", "normalizer"], "entmax"),
     "config removed normalizer fixed": _set(["config", "normalizer"], "fixed"),
     "params not a list": _set(["params"], {"embed": [257, 16]}),
@@ -280,7 +286,7 @@ def test_cli_reports_corrupt_manifest_with_exit_code_2(tmp_path, capsys):
     path = tmp_path / "model.bin"
     save_checkpoint(tiny_model(seed=12), path)
     bad = tmp_path / "bad.bin"
-    for corruption in ("config unknown key", "config zero heads"):
+    for corruption in ("config unknown key", "config zero heads", "config zero layers"):
         _rewrite_manifest(path, bad, MANIFEST_CORRUPTIONS[corruption])
         out = tmp_path / "t.csv"
         assert main(["export-offsets", "--checkpoint", str(bad), "--out", str(out)]) == 2

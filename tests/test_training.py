@@ -1,6 +1,7 @@
 """Ingestion, schedule, optimizer, training-loop, and config-file tests."""
 
 import csv
+import json
 import math
 import os
 import threading
@@ -303,6 +304,81 @@ def test_mean_nll_sums_batches_in_batch_order():
     assert training.mean_nll(model, chunks, batch_size=2) == total / count
 
 
+def test_mean_nll_through_two_threads_matches_one_thread(monkeypatch):
+    """Seven batches dealt to two threads give the one-thread bits, the short last one included.
+
+    The model is float64: float32 batch losses times their token counts sum
+    exactly in any order, so only float64 shows a sum taken out of order.
+    """
+    model = shard_model("lazy", "float64")
+    chunks = np.random.default_rng(7).integers(0, 256, size=(13, 33))
+    one = training.mean_nll(model, chunks, batch_size=2)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    with training._ShardRunner(2) as runner:
+        two = training.mean_nll(model, chunks, batch_size=2, runner=runner)
+    assert runner.threads == (2 if core.BLAS_PINNABLE else 1)
+    assert two == one
+
+
+def _train_log_without_wallclock(out_dir):
+    with open(os.path.join(out_dir, "train_log.csv")) as fh:
+        return [row[:-1] for row in csv.reader(fh)]
+
+
+@pytest.mark.parametrize("kind", ["lazy", "lazy_two_pass"])
+def test_train_bits_do_not_depend_on_the_thread_count(kind, small_corpus_path, tmp_path,
+                                                      monkeypatch):
+    """One and two runner threads write the same checkpoint, eval log and train log.
+
+    Two periodic evals and the final one each cover an odd number of eval
+    batches, the last one short.
+    """
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        mc, tc = smoke_cfgs(small_corpus_path, tmp_path / f"cpus{cpus}", steps=7,
+                            **SHARD_MODELS[kind])
+        tc.eval_every, tc.eval_frac = 3, 0.019
+        train(mc, tc)
+        runs[cpus] = tc.out_dir
+    with open(os.path.join(runs[2], "run_meta.json")) as fh:
+        meta = json.load(fh)
+    assert meta["shard_threads"] == (2 if core.BLAS_PINNABLE else 1)
+    batch_rows = tc.batch_tokens // mc.n_ctx
+    assert meta["chunks"]["eval"] % batch_rows != 0
+    assert math.ceil(meta["chunks"]["eval"] / batch_rows) % 2 == 1
+    for name in ("checkpoint.bin", "eval_log.csv"):
+        with open(os.path.join(runs[1], name), "rb") as a, open(os.path.join(runs[2], name), "rb") as b:
+            assert a.read() == b.read(), name
+    with open(os.path.join(runs[2], "eval_log.csv")) as fh:
+        assert [row["step"] for row in csv.DictReader(fh)] == ["2", "5", "6"]
+    assert _train_log_without_wallclock(runs[1]) == _train_log_without_wallclock(runs[2])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
+def test_diverging_run_exits_2_and_dumps_its_gradients(small_corpus_path, tmp_path, capsys):
+    from lazyattn.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfg.write_text(
+        f"corpus = {small_corpus_path}\nout_dir = {out_dir}\n"
+        "steps = 5\nbatch_tokens = 128\nwarmup = 0\neval_every = 0\n"
+        "peak_lr = 1e9\ngrad_clip = 0\n"
+        "n_layers = 1\nd_model = 32\nn_heads = 2\nn_ctx = 32\nwindow = 8\n"
+    )
+    assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    dump = out_dir / "divergence.json"
+    assert f"non-finite loss nan at step 1; see {dump}" in capsys.readouterr().err
+    with open(dump) as fh:
+        blob = json.load(fh)
+    assert blob["step"] == 1 and math.isnan(blob["loss"])
+    model = TransformerLM(build_configs(parse_config_file(cfg))[0])
+    trained = [name for name, t in model.parameters().items() if t.requires_grad]
+    assert list(blob["max_abs_grad"]) == trained
+    assert not (out_dir / "checkpoint.bin").exists()
+
+
 def test_shard_runner_joins_its_worker_and_restores_blas_when_a_shard_raises(monkeypatch):
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     threads_before = threading.active_count()
@@ -346,9 +422,8 @@ def test_training_writes_metadata_and_eval(small_corpus_path, tmp_path):
     assert math.isfinite(result.final_eval_loss)
     meta = os.path.join(tc.out_dir, "run_meta.json")
     assert os.path.exists(meta)
-    import json
-
-    blob = json.load(open(meta))
+    with open(meta) as fh:
+        blob = json.load(fh)
     assert blob["normalizer"] == mc.normalizer
     assert blob["rope_base"] == mc.rope_base
     assert blob["shards"] == 2  # 128-token batches of 32-token rows: 4 rows
@@ -431,6 +506,8 @@ def test_parse_config_rejects_bad_lines(tmp_path):
 
 BAD_MODEL_KEYS = {
     "zero heads": ("n_heads = 0\n", "n_heads"),
+    "zero layers": ("n_layers = 0\n", "n_layers must be >= 1"),
+    "negative layers": ("n_layers = -1\n", "n_layers must be >= 1"),
     "sparsemax on the two-pass path": ("normalizer = sparsemax\nattention_path = two_pass\n",
                                        "sparsemax"),
     "unknown positional mode": ("positional = bogus\n", "positional mode 'bogus'"),
