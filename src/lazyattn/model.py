@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -56,6 +57,13 @@ class CheckpointError(RuntimeError):
     """Checkpoint file is malformed, truncated, or inconsistent."""
 
 
+def check_finite(cfg, error=ValueError) -> None:
+    """Raise ``error`` naming the first float field of dataclass ``cfg`` that is NaN or infinite."""
+    for name, f in cfg.__dataclass_fields__.items():
+        if f.type == "float" and not math.isfinite(getattr(cfg, name)):
+            raise error(f"{name} must be finite")
+
+
 @dataclass
 class ModelConfig:
     """Architecture plus attention behavior for one model."""
@@ -78,6 +86,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
         if self.seed < 0:

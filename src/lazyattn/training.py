@@ -13,18 +13,19 @@ training chunk with a reserved mask id.
 A training step cuts its batch rows into ``SHARDS`` contiguous shards (one
 when the batch has a single row). Each shard's loss and backward run on a
 replica of the model that shares its parameter arrays but owns its grad
-slots, one shard per thread where two CPUs are usable, with BLAS pinned to
-one thread while they run (numpy releases the interpreter lock in the
-ufuncs, reductions and matmuls a step is made of). Each shard's loss is
-scaled by its share of the rows, and the shard gradients are summed into
-the model's in shard order, which gives the full batch's gradient (Goyal
-et al. 2017, arXiv:1706.02677) up to rounding. A shard computes the same
-bits whichever thread runs it, so a run's bits do not depend on how many
-threads ran the shards. ``train``'s held-out evals deal their batches to
-the same runner, one whole batch per thread at a time, and sum the
-per-batch losses in batch order. ``mean_nll`` without a runner, as the CLI
-``eval`` calls it, stays on the calling thread: on a 2-core host with steal
-time, a timed eval that needs both cores swings with the host's load.
+slots. One ordered pool map runs the shards, one per thread where two CPUs
+are usable, with BLAS pinned to one thread while the map is open (numpy
+releases the interpreter lock in the ufuncs, reductions and matmuls a step
+is made of); with one usable CPU, or a BLAS without a thread setter, the
+pool has one thread. Each shard's loss is scaled by its share of the rows,
+and the shard gradients are summed into the model's in shard order, which
+gives the full batch's gradient (Goyal et al. 2017, arXiv:1706.02677) up to
+rounding. ``train``'s held-out evals run whole batches on the same map, and
+the per-batch losses are summed in batch order. A shard or a batch computes
+the same bits whichever thread runs it, so a run's bits do not depend on
+how many threads ran them. The CLI ``eval`` calls ``mean_nll`` with the
+builtin ``map`` and stays on the calling thread: on a 2-core host with
+steal time, a timed eval that needs both cores swings with the host's load.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import core
 from .core import Tape, Tensor, backward
-from .model import BOS_ID, MASK_ID, ModelConfig, TransformerLM, save_checkpoint
+from .model import BOS_ID, MASK_ID, ModelConfig, TransformerLM, check_finite, save_checkpoint
 
 NO_DECAY_SUFFIXES = ("attn.tau", "attn.bias_table")
 SHARDS = 2  # row shards per training step
@@ -75,6 +76,7 @@ class TrainConfig:
     eval_frac: float = 0.02
 
     def validate(self, n_ctx: int) -> None:
+        check_finite(self, ConfigError)
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if not 0 <= self.warmup <= self.steps:
@@ -225,43 +227,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _ShardRunner:
-    """Runs one call per shard and returns the results in shard order.
+def _shard_threads(shards: int) -> int:
+    """Threads that run ``shards`` shards: one per usable CPU where BLAS can be pinned."""
+    return min(shards, _usable_cpus()) if shards > 1 and core.BLAS_PINNABLE else 1
 
-    With more than one shard and a BLAS whose thread count can be set,
-    BLAS runs one thread while the runner is open, and the calls run on up
-    to ``threads`` threads: the calling thread and a worker pool that
-    closes with the runner. Otherwise they run one after another on the
-    calling thread. A call computes the same bits on any thread, so results
-    do not depend on ``threads``.
+
+@contextlib.contextmanager
+def _shard_map(shards: int):
+    """Yield a map that runs its calls on ``_shard_threads(shards)`` pool threads.
+
+    The map returns the results in item order. With more than one shard,
+    BLAS runs one thread while the block is open. On exit the pool's threads
+    are joined, then the BLAS thread count comes back.
     """
-
-    def __init__(self, shards: int):
-        self.blas_pinned = shards > 1 and core.BLAS_PINNABLE
-        self.threads = min(shards, _usable_cpus()) if self.blas_pinned else 1
-        self._stack = contextlib.ExitStack()
-        self._pool: ThreadPoolExecutor | None = None
-
-    def __enter__(self) -> "_ShardRunner":
-        if self.blas_pinned:
-            self._stack.enter_context(core.one_blas_thread())
-        if self.threads > 1:
-            self._pool = self._stack.enter_context(ThreadPoolExecutor(self.threads - 1))
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._pool = None
-        return self._stack.__exit__(*exc)  # joins the workers, then restores the BLAS thread count
-
-    def map(self, fn, items: list) -> list:
-        if self._pool is None:
-            return [fn(x) for x in items]
-        rest = [self._pool.submit(fn, x) for x in items[1:]]
-        try:
-            first = fn(items[0])
-        finally:
-            wait(rest)  # the workers finish their shards even when the caller's raised
-        return [first, *(f.result() for f in rest)]
+    pin = core.one_blas_thread() if shards > 1 else contextlib.nullcontext()
+    with pin, ThreadPoolExecutor(_shard_threads(shards)) as pool:
+        yield lambda fn, items: list(pool.map(fn, items))
 
 
 def _row_shards(rows: int) -> list[slice]:
@@ -278,18 +259,18 @@ def _shard_loss(model: TransformerLM, batch: np.ndarray, share: float) -> float:
     return loss.item()
 
 
-def _sharded_grads(replicas: list[TransformerLM], batch: np.ndarray,
-                   runner: _ShardRunner) -> float:
+def _sharded_grads(replicas: list[TransformerLM], batch: np.ndarray, mapper) -> float:
     """Mean loss of ``batch``; leaves its gradient in ``replicas[0]``'s grad slots.
 
     Shard i of ``_row_shards`` runs on ``replicas[i]``, its loss scaled by
     its share of the rows. ``replicas[0]`` is the model itself; the other
     replicas' gradients are added to its grads in shard order and cleared.
+    ``mapper`` runs the shards and returns their losses in shard order.
     """
     rows = len(batch)
     shards = _row_shards(rows)
     jobs = [(rep, batch[s], (s.stop - s.start) / rows) for rep, s in zip(replicas, shards)]
-    losses = runner.map(lambda job: _shard_loss(*job), jobs)
+    losses = mapper(lambda job: _shard_loss(*job), jobs)
     model = replicas[0]
     for rep in replicas[1:len(shards)]:
         for name, t in model.params.items():
@@ -305,30 +286,21 @@ def _sharded_grads(replicas: list[TransformerLM], batch: np.ndarray,
 
 
 def mean_nll(model: TransformerLM, chunks: np.ndarray, *, batch_size: int = 16,
-             max_len: int | None = None, runner: _ShardRunner | None = None) -> float:
+             max_len: int | None = None, mapper=map) -> float:
     """Mean per-token negative log-likelihood over (N, len+1) eval chunks.
 
-    The batches are dealt round-robin to ``runner``'s threads (the calling
-    thread alone without one); each is evaluated whole on one thread, and
-    the per-batch losses are summed in batch order, so the result has the
-    same bits on any number of threads. ``train`` passes its shard runner;
-    the CLI ``eval`` passes none, because on a 2-core host with steal time
-    two eval threads swung by a third with the host's load.
+    ``mapper`` evaluates each batch whole and returns the per-batch losses
+    in batch order, which are summed in that order, so the result has the
+    same bits whichever threads ran the batches. ``train`` passes its shard
+    map; the CLI ``eval`` keeps the builtin ``map`` on the calling thread,
+    because on a 2-core host with steal time two eval threads swung by a
+    third with the host's load.
     """
-    starts = range(0, len(chunks), batch_size)
-    threads = runner.threads if runner is not None else 1
+    def batch_loss(i: int) -> float:
+        part = chunks[i:i + batch_size]
+        return model.loss(part[:, :-1], part[:, 1:], max_len=max_len).item() * part[:, 1:].size
 
-    def batch_losses(dealt: range) -> list[float]:
-        parts = (chunks[i:i + batch_size] for i in dealt)
-        return [model.loss(p[:, :-1], p[:, 1:], max_len=max_len).item() * p[:, 1:].size
-                for p in parts]
-
-    if threads > 1:
-        losses = runner.map(batch_losses, [starts[j::threads] for j in range(threads)])
-    else:
-        losses = [batch_losses(starts)]
-    total = sum(losses[b % threads][b // threads] for b in range(len(starts)))
-    return total / chunks[:, 1:].size
+    return sum(mapper(batch_loss, range(0, len(chunks), batch_size))) / chunks[:, 1:].size
 
 
 @dataclass
@@ -381,7 +353,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
                       weight_decay=train_cfg.weight_decay)
     shards = len(_row_shards(batch_size))
     replicas = [model] + [model.replica() for _ in range(shards - 1)]
-    runner = _ShardRunner(shards)
 
     with open(os.path.join(train_cfg.out_dir, "run_meta.json"), "w") as fh:
         json.dump({
@@ -394,8 +365,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
             "ffn_activation": "tanh_gelu",
             "chunks": {"train": len(train_chunks), "eval": len(eval_chunks)},
             "shards": shards,
-            "shard_threads": runner.threads,
-            "blas_pinned": runner.blas_pinned,
+            "shard_threads": _shard_threads(shards),
+            "blas_pinned": shards > 1 and core.BLAS_PINNABLE,
         }, fh, indent=1)
 
     history: list[tuple[int, float, float]] = []
@@ -405,12 +376,12 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
     eval_path = os.path.join(train_cfg.out_dir, "eval_log.csv")
 
     def run_eval(step: int, writer) -> float:
-        el = mean_nll(model, eval_chunks, batch_size=batch_size, runner=runner)
+        el = mean_nll(model, eval_chunks, batch_size=batch_size, mapper=shard_map)
         writer.writerow([step, repr(el), repr(math.exp(el))])
         return el
 
     with open(log_path, "w", newline="") as log_fh, open(eval_path, "w", newline="") as ev_fh, \
-            runner:
+            _shard_map(shards) as shard_map:
         log = csv.writer(log_fh)
         log.writerow(["step", "loss", "lr", "grad_norm", "wallclock"])
         ev = csv.writer(ev_fh)
@@ -428,7 +399,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
             if train_cfg.mask_at is not None:
                 batch = mask_at_insert(batch, train_cfg.mask_at, model_cfg.n_ctx)
 
-            loss_val = _sharded_grads(replicas, batch, runner)
+            loss_val = _sharded_grads(replicas, batch, shard_map)
             if not math.isfinite(loss_val):
                 dump = _dump_divergence(train_cfg.out_dir, step, loss_val, optimizer)
                 raise TrainingDiverged(f"non-finite loss {loss_val} at step {step}; see {dump}")
@@ -504,11 +475,11 @@ def build_configs(kv: dict[str, str]) -> tuple[ModelConfig, TrainConfig]:
         if not targets:
             raise ConfigError(f"unknown config key {key!r}")
         for cls, target in targets:
-            if key == "mask_at":
-                target[key] = None if value.lower() in ("none", "") else int(value)
-                continue
             ftype = cls.__dataclass_fields__[key].type
-            base = {"int": int, "float": float, "str": str, "bool": bool}.get(ftype, str)
+            if ftype == "int | None" and value.lower() in ("none", ""):
+                target[key] = None
+                continue
+            base = {"int": int, "int | None": int, "float": float, "str": str, "bool": bool}.get(ftype, str)
             try:
                 target[key] = _coerce(value, base)
             except ValueError as exc:

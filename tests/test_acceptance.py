@@ -7,6 +7,7 @@ baseline/lazy pair once (see conftest).
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,7 +368,7 @@ def test_criterion_09_determinism(small_corpus_path, tmp_path):
         export_offsets(model, tau_csv)
         toks = tokenize_bytes(small_corpus_path.read_bytes())[: 4 * 64].reshape(4, 64)
         measure_density(model, toks).write_csv(dens_csv)
-        outputs.append((open(result.checkpoint, "rb").read(), bias_csv.read_bytes(),
+        outputs.append((Path(result.checkpoint).read_bytes(), bias_csv.read_bytes(),
                         tau_csv.read_bytes(), dens_csv.read_bytes()))
     ok = outputs[0] == outputs[1]
     report(9, "identical (seed, config, corpus) give bit-identical checkpoint and CSVs", ok)

@@ -27,6 +27,11 @@ def small_model(seed=0, **over):
     return TransformerLM(ModelConfig(seed=seed, **{**SMALL, **over}))
 
 
+def read_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
 def layer0_oracle(model, tokens):
     """Layer 0's block input embed[tokens] and its value LN1(x) @ wv, in float64 numpy."""
     lp = model.layers[0]
@@ -185,8 +190,7 @@ def test_export_bias_fresh_model_zero(tmp_path):
     model = small_model(seed=14)
     path = tmp_path / "bias.csv"
     export_bias(model, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_rows(path)
     cfg = model.cfg
     assert len(rows) == cfg.n_layers * cfg.n_heads * (model.window + 1)
     assert all(float(r["bias"]) == 0.0 for r in rows)
@@ -196,8 +200,7 @@ def test_export_offsets_fresh_model_minus_one(tmp_path):
     model = small_model(seed=15)
     path = tmp_path / "tau.csv"
     export_offsets(model, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_rows(path)
     assert len(rows) == model.cfg.n_layers * model.cfg.n_heads
     assert all(float(r["tau"]) == -1.0 for r in rows)
     by_layer = {}
@@ -264,7 +267,7 @@ def test_write_weights_csv(tmp_path):
     measure_density(model, toks, capture=cap)
     out = tmp_path / "w.csv"
     write_weights_csv(cap, out)
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     n = 16
     assert len(rows) == model.cfg.n_layers * model.cfg.n_heads * (n * (n + 1) // 2)
     assert all(int(r["j"]) <= int(r["i"]) for r in rows)
@@ -285,22 +288,22 @@ def test_cli_diagnostic_subcommands(small_corpus_path, tmp_path):
     out = tmp_path / "ppl.csv"
     assert main(["eval", "--checkpoint", str(ckpt), "--text", str(text),
                  "--lengths", "32,64", "--out", str(out)]) == 0
-    assert len(list(csv.DictReader(open(out)))) == 2
+    assert len(read_rows(out)) == 2
 
     out = tmp_path / "probe.csv"
     assert main(["probe-repeat", "--checkpoint", str(ckpt), "--token", "97",
                  "--length", "32", "--out", str(out)]) == 0
-    assert len(list(csv.DictReader(open(out)))) == 4
+    assert len(read_rows(out)) == 4
 
     out = tmp_path / "sink.csv"
     assert main(["stats-sink", "--checkpoint", str(ckpt), "--text", str(text),
                  "--length", "32", "--out", str(out)]) == 0
-    assert len(list(csv.DictReader(open(out)))) == 30
+    assert len(read_rows(out)) == 30
 
     out = tmp_path / "density.csv"
     assert main(["measure-density", "--checkpoint", str(ckpt), "--text", str(text),
                  "--out", str(out), "--weights-out", str(tmp_path / "weights.csv")]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     assert rows[-1]["layer"] == "mean"
     for r in rows:  # every cell parses as a plain number
         assert 0.0 <= float(r["density_pct"]) <= 100.0

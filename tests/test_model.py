@@ -241,6 +241,7 @@ MANIFEST_CORRUPTIONS = {
     "config invalid value": _set(["config", "d_model"], 15),
     "config zero heads": _set(["config", "n_heads"], 0),
     "config zero layers": _set(["config", "n_layers"], 0),
+    "config nan tau_init": _set(["config", "tau_init"], float("nan")),
     "config unknown normalizer": _set(["config", "normalizer"], "entmax"),
     "config removed normalizer fixed": _set(["config", "normalizer"], "fixed"),
     "params not a list": _set(["params"], {"embed": [257, 16]}),
@@ -286,7 +287,8 @@ def test_cli_reports_corrupt_manifest_with_exit_code_2(tmp_path, capsys):
     path = tmp_path / "model.bin"
     save_checkpoint(tiny_model(seed=12), path)
     bad = tmp_path / "bad.bin"
-    for corruption in ("config unknown key", "config zero heads", "config zero layers"):
+    for corruption in ("config unknown key", "config zero heads", "config zero layers",
+                       "config nan tau_init"):
         _rewrite_manifest(path, bad, MANIFEST_CORRUPTIONS[corruption])
         out = tmp_path / "t.csv"
         assert main(["export-offsets", "--checkpoint", str(bad), "--out", str(out)]) == 2

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,9 +148,7 @@ def test_training_determinism_and_logged_lr(small_corpus_path, tmp_path):
     assert len(rows) == 25
     for row in rows:
         assert float(row["lr"]) == lr_at(int(row["step"]), tc1)
-    ck1 = open(r1.checkpoint, "rb").read()
-    ck2 = open(r2.checkpoint, "rb").read()
-    assert ck1 == ck2
+    assert Path(r1.checkpoint).read_bytes() == Path(r2.checkpoint).read_bytes()
 
 
 def test_train_log_records_the_clipped_grad_norm(small_corpus_path, tmp_path, monkeypatch):
@@ -184,8 +183,8 @@ FAULTS_WITH_TRIMMING = 145_000
 def test_training_steps_reuse_freed_heap(over):
     """A warm twin-config step faults in almost no fresh pages (allocator policy in core).
 
-    The step is the one ``train`` runs: row shards on the shard runner, whose
-    worker thread allocates too, then clipping and the optimizer.
+    The step is the one ``train`` runs: row shards on the shard map, whose
+    pool threads allocate too, then clipping and the optimizer.
     """
     import resource
 
@@ -196,9 +195,9 @@ def test_training_steps_reuse_freed_heap(over):
     replicas = [model] + [model.replica() for _ in range(training.SHARDS - 1)]
     batches = np.random.default_rng(0).integers(0, 256, size=(12, 8, 129))
 
-    with training._ShardRunner(training.SHARDS) as runner:
+    with training._shard_map(training.SHARDS) as shard_map:
         def step(batch):
-            training._sharded_grads(replicas, batch, runner)
+            training._sharded_grads(replicas, batch, shard_map)
             opt.clip_grads(1.0)
             opt.step(1e-3)
             opt.zero_grads()
@@ -226,11 +225,11 @@ def shard_model(kind, dtype="float32"):
 
 
 def sharded_step(model, batch):
-    """Loss, grads and runner thread count of one sharded step, as ``train`` runs it."""
-    with training._ShardRunner(training.SHARDS) as runner:
-        loss = training._sharded_grads([model, model.replica()], batch, runner)
+    """Loss, grads and shard thread count of one sharded step, as ``train`` runs it."""
+    with training._shard_map(training.SHARDS) as shard_map:
+        loss = training._sharded_grads([model, model.replica()], batch, shard_map)
     grads = {k: t.grad for k, t in model.parameters().items() if t.grad is not None}
-    return loss, grads, runner.threads
+    return loss, grads, training._shard_threads(training.SHARDS)
 
 
 def test_replica_shares_parameter_arrays_but_not_grads():
@@ -314,9 +313,9 @@ def test_mean_nll_through_two_threads_matches_one_thread(monkeypatch):
     chunks = np.random.default_rng(7).integers(0, 256, size=(13, 33))
     one = training.mean_nll(model, chunks, batch_size=2)
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
-    with training._ShardRunner(2) as runner:
-        two = training.mean_nll(model, chunks, batch_size=2, runner=runner)
-    assert runner.threads == (2 if core.BLAS_PINNABLE else 1)
+    with training._shard_map(2) as shard_map:
+        two = training.mean_nll(model, chunks, batch_size=2, mapper=shard_map)
+    assert training._shard_threads(2) == (2 if core.BLAS_PINNABLE else 1)
     assert two == one
 
 
@@ -328,7 +327,7 @@ def _train_log_without_wallclock(out_dir):
 @pytest.mark.parametrize("kind", ["lazy", "lazy_two_pass"])
 def test_train_bits_do_not_depend_on_the_thread_count(kind, small_corpus_path, tmp_path,
                                                       monkeypatch):
-    """One and two runner threads write the same checkpoint, eval log and train log.
+    """One and two shard threads write the same checkpoint, eval log and train log.
 
     Two periodic evals and the final one each cover an odd number of eval
     batches, the last one short.
@@ -379,7 +378,7 @@ def test_diverging_run_exits_2_and_dumps_its_gradients(small_corpus_path, tmp_pa
     assert not (out_dir / "checkpoint.bin").exists()
 
 
-def test_shard_runner_joins_its_worker_and_restores_blas_when_a_shard_raises(monkeypatch):
+def test_shard_map_joins_its_workers_and_restores_blas_when_a_shard_raises(monkeypatch):
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     threads_before = threading.active_count()
     blas_before = core._BLAS_THREADS[0]() if core.BLAS_PINNABLE else None
@@ -390,13 +389,33 @@ def test_shard_runner_joins_its_worker_and_restores_blas_when_a_shard_raises(mon
         return i
 
     with pytest.raises(ValueError, match="worker shard failed"):
-        with training._ShardRunner(2) as runner:
+        with training._shard_map(2) as shard_map:
             if core.BLAS_PINNABLE:
                 assert core._BLAS_THREADS[0]() == 1
-            runner.map(shard, [0, 1])
+            shard_map(shard, [0, 1])
     assert threading.active_count() == threads_before
     if core.BLAS_PINNABLE:
         assert core._BLAS_THREADS[0]() == blas_before
+
+
+def test_shard_map_returns_results_in_item_order_when_a_later_item_finishes_first(monkeypatch):
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    if training._shard_threads(2) < 2:
+        pytest.skip("the shard map runs on one thread here")
+    item_1_done = threading.Event()
+    finished = []
+
+    def item(i):
+        if i == 0:
+            assert item_1_done.wait(timeout=10), "item 0 waited for item 1 in vain"
+        finished.append(i)
+        if i == 1:
+            item_1_done.set()
+        return i * 10
+
+    with training._shard_map(2) as shard_map:
+        assert shard_map(item, [0, 1]) == [0, 10]
+    assert finished == [1, 0]
 
 
 def test_clip_grads_norm_agrees_with_a_float64_sum():
@@ -515,6 +534,9 @@ BAD_MODEL_KEYS = {
     "negative window": ("window = -1\n", "window must be >= 0"),
     "fixed normalizer": ("normalizer = fixed\n",
                          "expected one of softmax, sparsemax, elastic_global, elastic"),
+    "nan rope_base": ("rope_base = nan\n", "rope_base must be finite"),
+    "nan tau_init": ("tau_init = nan\n", "tau_init must be finite"),
+    "infinite tau_init": ("tau_init = -inf\n", "tau_init must be finite"),
 }
 
 
@@ -547,6 +569,12 @@ BAD_TRAIN_KEYS = {
     "negative eval_every": ({"eval_every": -3}, "eval_every must be >= 0"),
     "negative grad_clip": ({"grad_clip": -1}, "grad_clip must be >= 0"),
     "negative seed": ({"seed": -1}, "seed must be >= 0"),
+    "nan grad_clip": ({"grad_clip": "nan"}, "grad_clip must be finite"),
+    "nan peak_lr": ({"peak_lr": "nan"}, "peak_lr must be finite"),
+    "infinite weight_decay": ({"weight_decay": "inf"}, "weight_decay must be finite"),
+    "nan beta1": ({"beta1": "nan"}, "beta1 must be finite"),
+    "infinite min_lr_frac": ({"min_lr_frac": "inf"}, "min_lr_frac must be finite"),
+    "mask_at not an int": ({"mask_token": "true", "mask_at": "abc"}, "bad value for mask_at: "),
 }
 
 
