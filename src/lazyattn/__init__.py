@@ -38,7 +38,6 @@ from .normalizers import (
 from .attention import (
     AllocationMeter,
     AttentionConfig,
-    AttentionLayerParams,
     CaptureBuffer,
     attend_naive,
     attend_two_pass,

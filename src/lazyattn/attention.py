@@ -96,16 +96,6 @@ def _lower_mask(n: int) -> np.ndarray:
     return m
 
 
-def _row_offsets(mode: NormalizerMode, tau_g: np.ndarray | None, n: int,
-                 dtype) -> np.ndarray | None:
-    """Per-(group, query) additive offset applied after softmax, or None."""
-    if mode is NormalizerMode.ELASTIC_PER_QUERY:
-        return tau_g[:, None] / np.arange(1, n + 1, dtype=dtype)[None, :]
-    if mode is NormalizerMode.ELASTIC_GLOBAL:
-        return np.broadcast_to(tau_g[:, None], (tau_g.shape[0], n)).astype(dtype, copy=False)
-    return None
-
-
 def _split_groups(x: np.ndarray, batch: int, n_heads: int) -> np.ndarray:
     """(B*n, H*dh) -> (B*H, n, dh)."""
     bn, hd = x.shape
@@ -161,15 +151,24 @@ def _resolve_bias(bias: Tensor | None, config: AttentionConfig, n: int,
     return tb.astype(dtype, copy=False)
 
 
-def _resolve_tau(tau: Tensor | None, config: AttentionConfig, batch: int) -> np.ndarray | None:
-    if not config.normalizer.learns_tau:
-        return None
+def _resolve_offsets(tau: Tensor | None, config: AttentionConfig, batch: int, n: int,
+                     dtype) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(G, n) offsets tau / div added after softmax, and the (n,) row divisor div.
+
+    div is the 1-based query index under ``elastic``, 1 under ``elastic_global``,
+    and both are None (``tau`` ignored) for a normalizer that learns no tau.
+    """
+    mode = config.normalizer
+    if not mode.learns_tau:
+        return None, None
     if tau is None:
-        raise ValueError(f"normalizer {config.normalizer.value} needs a tau tensor")
-    td = tau.data.reshape(-1)
+        raise ValueError(f"normalizer {mode.value} needs a tau tensor")
+    td = tau.data.reshape(-1).astype(dtype, copy=False)
     if td.shape[0] != config.n_heads:
         raise ShapeError(f"tau must have one entry per head, got {tau.shape}")
-    return np.tile(td, batch)  # group g = b * H + h
+    div = (np.arange(1, n + 1, dtype=dtype) if mode is NormalizerMode.ELASTIC_PER_QUERY
+           else np.ones(n, dtype=dtype))
+    return np.tile(td, batch)[:, None] / div, div  # group g = b * H + h
 
 
 def _distance_term(table: np.ndarray | None, r0: int, r1: int, dtype) -> np.ndarray:
@@ -220,14 +219,14 @@ def _tape_inputs(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, tau: Tens
     return tuple(inputs)
 
 
-def _pack_grads(dq3, dk3, dv3, dbias, dtau_h, bias: Tensor | None, tau: Tensor | None,
+def _pack_grads(dq3, dk3, dv3, dbias, dtau_g, bias: Tensor | None, tau: Tensor | None,
                 batch: int, n_heads: int) -> tuple:
-    """Gradients in ``_tape_inputs`` order, each in its input's shape."""
+    """Gradients in ``_tape_inputs`` order, each in its input's shape; ``dtau_g`` is per group."""
     grads = [_merge_groups(x, batch, n_heads) for x in (dq3, dk3, dv3)]
     if dbias is not None:
         grads.append(dbias.reshape(bias.shape))
-    if dtau_h is not None:
-        grads.append(dtau_h.astype(dq3.dtype).reshape(tau.shape))
+    if dtau_g is not None:
+        grads.append(dtau_g.reshape(batch, n_heads).sum(0).astype(dq3.dtype).reshape(tau.shape))
     return tuple(grads)
 
 
@@ -274,7 +273,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     sc = 1.0 / math.sqrt(dh)
     mode = config.normalizer
     table = _resolve_bias(bias, config, n, dtype)
-    tau_g = _resolve_tau(tau, config, batch)
+    off, div = _resolve_offsets(tau, config, batch, n, dtype)
     lower = _lower_mask(n)
 
     q3 = _split_groups(q.data, batch, h)
@@ -284,7 +283,6 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     s = q3 @ k3.transpose(0, 2, 1)
     s *= sc
     s.reshape(batch, h, n, n)[...] += _distance_term(table, 0, n, dtype)
-    off = _row_offsets(mode, tau_g, n, dtype)
     w, p, gate = _normalize_full(s, mode, off, lower)
     inputs = _tape_inputs(q, k, v, bias, tau, config)
     out = Tensor(_merge_groups(w @ v3, batch, h),
@@ -293,13 +291,11 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     if capture is not None:
         capture.add(w.reshape(batch, h, n, n))
 
-    rows1 = np.arange(1, n + 1, dtype=dtype)
-
     def vjp(g):
         g3 = _split_groups(g, batch, h)
         dv3 = w.transpose(0, 2, 1) @ g3
         ds = g3 @ v3.transpose(0, 2, 1)  # dw, turned into the score gradient in place
-        dtau_h = None
+        dtau_g = None
         if mode is NormalizerMode.SPARSEMAX:
             dw = ds
             ds = np.zeros_like(dw)
@@ -309,11 +305,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         else:
             if gate is not None:  # softmax needs no mask: p is 0 on masked entries
                 ds *= gate
-                if mode is NormalizerMode.ELASTIC_PER_QUERY:
-                    dtau_g = (ds.sum(axis=-1) / rows1[None, :]).sum(axis=-1)
-                    dtau_h = dtau_g.reshape(batch, h).sum(axis=0)
-                elif mode is NormalizerMode.ELASTIC_GLOBAL:
-                    dtau_h = ds.sum(axis=(-1, -2)).reshape(batch, h).sum(axis=0)
+                dtau_g = (ds.sum(axis=-1) / div).sum(axis=-1)
             ds -= np.einsum("gij,gij->gi", p, ds)[:, :, None]
             ds *= p
         dq3 = ds @ k3
@@ -324,7 +316,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         if bias is not None:
             dbias = np.zeros_like(table)
             _fold_distance_grad(ds, dbias)
-        return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, bias, tau, batch, h)
+        return _pack_grads(dq3, dk3, dv3, dbias, dtau_g, bias, tau, batch, h)
 
     return record_op(out, inputs, vjp)
 
@@ -358,16 +350,14 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     """
     n = _check_qkv(q, k, v, config, batch)
     h, dh = config.n_heads, config.head_dim
-    mode = config.normalizer
-    if mode is NormalizerMode.SPARSEMAX:
+    if config.normalizer is NormalizerMode.SPARSEMAX:
         raise ValueError("sparsemax needs globally sorted rows; use attend_naive")
     dtype = q.data.dtype
     sc = 1.0 / math.sqrt(dh)
     tile = min(config.tile, n)
 
     table = _resolve_bias(bias, config, n, dtype)
-    tau_g = _resolve_tau(tau, config, batch)
-    off = _row_offsets(mode, tau_g, n, dtype)
+    off, div = _resolve_offsets(tau, config, batch, n, dtype)
 
     q3 = _split_groups(q.data, batch, h)
     k3 = _split_groups(k.data, batch, h)
@@ -409,7 +399,7 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         cap = np.zeros((groups, n, n), dtype=np.float32)
     for r0, r1 in tiles:
         w = prob_block(r0, r1, fresh=True)
-        if mode is not NormalizerMode.SOFTMAX:
+        if off is not None:
             w += off[:, r0:r1, None]
             rectify(w, r0, r1)
         out3[:, r0:r1] = w @ v3[:, :r1]
@@ -425,14 +415,12 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     if cap is not None:
         capture.add(cap.reshape(batch, h, n, n))
 
-    rows1 = np.arange(1, n + 1, dtype=dtype)
-
     def vjp(g):
         g3 = _split_groups(g, batch, h)
         dq3 = np.empty_like(q3)
         dk3 = np.zeros_like(k3)
         dv3 = np.zeros_like(v3)
-        dtau_g = np.zeros(groups, dtype=dtype) if mode.learns_tau else None
+        dtau_g = None if off is None else np.zeros(groups, dtype=dtype)
         dbias = None if bias is None else np.zeros_like(table)
         for r0, r1 in tiles:
             p = prob_block(r0, r1)
@@ -440,13 +428,10 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
             ds = gt @ v3[:, :r1].transpose(0, 2, 1)  # dw, turned into the score gradient in place
             w = p
             # softmax needs no mask: p is 0 on masked entries
-            if mode is not NormalizerMode.SOFTMAX:
+            if off is not None:
                 w = rectify(p + off[:, r0:r1, None], r0, r1)
                 ds *= w > 0
-                if mode is NormalizerMode.ELASTIC_PER_QUERY:
-                    dtau_g += (ds.sum(axis=-1) / rows1[None, r0:r1]).sum(axis=-1)
-                elif mode is NormalizerMode.ELASTIC_GLOBAL:
-                    dtau_g += ds.sum(axis=(-1, -2))
+                dtau_g += (ds.sum(axis=-1) / div[r0:r1]).sum(axis=-1)
             ds -= np.einsum("gij,gij->gi", p, ds)[:, :, None]
             ds *= p
             dv3[:, :r1] += w.transpose(0, 2, 1) @ gt
@@ -456,47 +441,37 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
                 _fold_distance_grad(ds, dbias)
         dq3 *= sc
         dk3 *= sc
-        dtau_h = None if dtau_g is None else dtau_g.reshape(batch, h).sum(axis=0)
-        return _pack_grads(dq3, dk3, dv3, dbias, dtau_h, bias, tau, batch, h)
+        return _pack_grads(dq3, dk3, dv3, dbias, dtau_g, bias, tau, batch, h)
 
     return record_op(out, inputs, vjp)
 
 
-@dataclass
-class AttentionLayerParams:
-    """Learnable pieces of one attention layer."""
-
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-    bias: Tensor | None = None  # (H, window+1)
-    tau: Tensor | None = None  # (H,)
-
-
-def multi_head(x: Tensor, params: AttentionLayerParams, config: AttentionConfig,
+def multi_head(x: Tensor, layer: dict[str, Tensor], config: AttentionConfig,
                rope_cfg: RopeConfig, positions: np.ndarray, *, batch: int = 1,
                capture: CaptureBuffer | None = None,
                meter: AllocationMeter | None = None) -> Tensor:
     """Project, rotate, attend, and re-project one layer of heads.
 
-    ``x`` is the (B*n, d) normalized residual input. Heads share projection
-    matrices column-blocked per head; outputs concatenate in fixed head
-    order before the output projection.
+    ``x`` is the (B*n, d) normalized residual input. ``layer`` is a model
+    layer dict; this reads its ``attn.wq``, ``attn.wk``, ``attn.wv`` and
+    ``attn.wo`` (d, d) projections, ``attn.bias_table`` (H, window+1) under
+    ``rope_bias`` and ``attn.tau`` (H,), which a normalizer that learns no
+    tau ignores. Heads share projection matrices column-blocked per head;
+    outputs concatenate in fixed head order before the output projection.
     """
-    q = matmul(x, params.wq)
-    k = matmul(x, params.wk)
-    v = matmul(x, params.wv)
+    q = matmul(x, layer["attn.wq"])
+    k = matmul(x, layer["attn.wk"])
+    v = matmul(x, layer["attn.wv"])
     if config.positional != "alibi":
         q = apply_rope(q, positions, rope_cfg)
         k = apply_rope(k, positions, rope_cfg)
 
-    bias = params.bias if config.positional == "rope_bias" else None
-    tau = params.tau if config.normalizer.learns_tau else None
+    bias = layer["attn.bias_table"] if config.positional == "rope_bias" else None
+    tau = layer["attn.tau"]
     if config.path == "two_pass":
         attended = attend_two_pass(q, k, v, config, bias=bias, tau=tau, batch=batch,
                                    capture=capture, meter=meter)
     else:
         attended = attend_naive(q, k, v, config, bias=bias, tau=tau, batch=batch,
                                 capture=capture)
-    return matmul(attended, params.wo)
+    return matmul(attended, layer["attn.wo"])

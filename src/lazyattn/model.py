@@ -34,7 +34,6 @@ from . import core
 from .attention import (
     AllocationMeter,
     AttentionConfig,
-    AttentionLayerParams,
     CaptureBuffer,
     multi_head,
 )
@@ -209,20 +208,13 @@ class TransformerLM:
     def taus(self) -> list[np.ndarray]:
         return [lp["attn.tau"].data.copy() for lp in self.layers]
 
-    def _layer_params(self, li: int) -> AttentionLayerParams:
-        lp = self.layers[li]
-        return AttentionLayerParams(
-            wq=lp["attn.wq"], wk=lp["attn.wk"], wv=lp["attn.wv"], wo=lp["attn.wo"],
-            bias=lp["attn.bias_table"], tau=lp["attn.tau"],
-        )
-
     def block_forward(self, x: Tensor, li: int, positions: np.ndarray, *, batch: int = 1,
                       capture: CaptureBuffer | None = None,
                       meter: AllocationMeter | None = None) -> Tensor:
         """One residual block: x + MHA(LN(x)), then x + FFN(LN(x))."""
         lp = self.layers[li]
         h = core.layernorm(x, lp["ln1.gain"], lp["ln1.bias"])
-        a = multi_head(h, self._layer_params(li), self.attn_cfg, self.rope_cfg, positions,
+        a = multi_head(h, lp, self.attn_cfg, self.rope_cfg, positions,
                        batch=batch, capture=capture, meter=meter)
         x = core.add(x, a)
         h2 = core.layernorm(x, lp["ln2.gain"], lp["ln2.bias"])

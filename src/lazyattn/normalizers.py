@@ -17,6 +17,10 @@ attention paths compute:
   elastic_global  relu(softmax(s) + tau)       learnable, no 1/i split
   sparsemax       euclidean projection of s onto the simplex (``sparsemax_row``)
 
+Both offset modes add tau / div_i to row i, with div_i = i under
+``elastic`` and div_i = 1 under ``elastic_global``; the attention paths
+apply and differentiate that one rule.
+
 A constant -1/i offset is ``elastic`` with tau frozen at -1.
 
 Under ``elastic`` with uniform scores and tau = -1 the softmax mass 1/i

@@ -338,7 +338,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
     train_cfg.validate(model_cfg.n_ctx)
     if train_cfg.mask_at is not None and not model_cfg.mask_token:
         raise ConfigError("mask_at requires the model's mask_token vocabulary flag")
-    os.makedirs(train_cfg.out_dir, exist_ok=True)
 
     chunks = ingest(train_cfg.corpus, model_cfg.n_ctx, train_cfg.seed)
     n_eval = max(2, int(round(len(chunks) * train_cfg.eval_frac)))
@@ -347,7 +346,11 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
     eval_chunks = chunks[-n_eval:]
     train_chunks = chunks[:-n_eval]
     batch_size = train_cfg.batch_tokens // model_cfg.n_ctx
+    if batch_size > len(train_chunks):
+        raise ConfigError(f"batch_tokens {train_cfg.batch_tokens} needs {batch_size} training "
+                          f"chunks; the training split holds {len(train_chunks)}")
 
+    os.makedirs(train_cfg.out_dir, exist_ok=True)
     model = TransformerLM(model_cfg)
     optimizer = AdamW(model.parameters(), beta1=train_cfg.beta1, beta2=train_cfg.beta2,
                       weight_decay=train_cfg.weight_decay)

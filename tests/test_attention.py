@@ -11,7 +11,6 @@ from lazyattn import core
 from lazyattn.attention import (
     AllocationMeter,
     AttentionConfig,
-    AttentionLayerParams,
     CaptureBuffer,
     attend_naive,
     attend_two_pass,
@@ -428,6 +427,18 @@ def test_one_head_bias_vector_gets_a_gradient_of_its_shape(attend):
     assert vec.data.shape == (4,)
 
 
+@pytest.mark.parametrize("mode", ["elastic", "elastic_global"])
+def test_tau_of_another_precision_keeps_the_inputs_dtype(mode):
+    """A float64 tau on float32 inputs gives float32 output and the same weights on both paths."""
+    rng = np.random.default_rng(25)
+    q, k, v = rand_qkv(rng, 6, 8, dtype="float32")
+    tau = Tensor(np.array([-0.1]), dtype="float64")
+    outs = [attend(q, k, v, make_cfg(mode), tau=tau).data
+            for attend in (attend_naive, attend_two_pass)]
+    assert [o.dtype for o in outs] == [np.float32, np.float32]
+    assert np.array_equal(outs[0], outs[1])
+
+
 def test_two_pass_meter_counts_one_block_and_the_row_state():
     """Peak auxiliary bytes: the last row tile's score block (weights in place), the
     row max and sum, and O; the same with and without a tape."""
@@ -480,15 +491,13 @@ def test_two_pass_builds_each_score_block_once_per_pass(monkeypatch):
 
 
 def make_layer(rng, d, heads, window, dtype="float64"):
-    dh = d // heads
-    return AttentionLayerParams(
-        wq=Tensor(rng.normal(size=(d, d)) * 0.3, requires_grad=True, dtype=dtype),
-        wk=Tensor(rng.normal(size=(d, d)) * 0.3, requires_grad=True, dtype=dtype),
-        wv=Tensor(rng.normal(size=(d, d)) * 0.3, requires_grad=True, dtype=dtype),
-        wo=Tensor(rng.normal(size=(d, d)) * 0.3, requires_grad=True, dtype=dtype),
-        bias=Tensor(rng.normal(size=(heads, window + 1)) * 0.2, requires_grad=True, dtype=dtype),
-        tau=Tensor(np.full(heads, -0.8), requires_grad=True, dtype=dtype),
-    )
+    """The attention entries of a model layer dict, as ``multi_head`` reads them."""
+    layer = {f"attn.{name}": Tensor(rng.normal(size=(d, d)) * 0.3, requires_grad=True, dtype=dtype)
+             for name in ("wq", "wk", "wv", "wo")}
+    layer["attn.bias_table"] = Tensor(rng.normal(size=(heads, window + 1)) * 0.2,
+                                      requires_grad=True, dtype=dtype)
+    layer["attn.tau"] = Tensor(np.full(heads, -0.8), requires_grad=True, dtype=dtype)
+    return layer
 
 
 def test_multi_head_single_head_equals_manual_pipeline():
@@ -501,10 +510,11 @@ def test_multi_head_single_head_equals_manual_pipeline():
     positions = np.arange(6)
     got = multi_head(x, params, cfg, rope, positions)
 
-    q = apply_rope(core.matmul(x, params.wq), positions, rope)
-    k = apply_rope(core.matmul(x, params.wk), positions, rope)
-    v = core.matmul(x, params.wv)
-    want = core.matmul(attend_naive(q, k, v, cfg, bias=params.bias, tau=params.tau), params.wo)
+    q = apply_rope(core.matmul(x, params["attn.wq"]), positions, rope)
+    k = apply_rope(core.matmul(x, params["attn.wk"]), positions, rope)
+    v = core.matmul(x, params["attn.wv"])
+    want = core.matmul(attend_naive(q, k, v, cfg, bias=params["attn.bias_table"],
+                                    tau=params["attn.tau"]), params["attn.wo"])
     assert np.array_equal(got.data, want.data)
 
 
@@ -521,14 +531,11 @@ def test_multi_head_permutation_symmetry():
     base = multi_head(x, params, cfg, rope, positions)
 
     perm_cols = np.r_[dh:2 * dh, 0:dh]
-    swapped = AttentionLayerParams(
-        wq=Tensor(params.wq.data[:, perm_cols], dtype="float64"),
-        wk=Tensor(params.wk.data[:, perm_cols], dtype="float64"),
-        wv=Tensor(params.wv.data[:, perm_cols], dtype="float64"),
-        wo=Tensor(params.wo.data[perm_cols, :], dtype="float64"),
-        bias=Tensor(params.bias.data[::-1].copy(), dtype="float64"),
-        tau=Tensor(params.tau.data[::-1].copy(), dtype="float64"),
-    )
+    swapped = {name: Tensor(params[name].data[:, perm_cols], dtype="float64")
+               for name in ("attn.wq", "attn.wk", "attn.wv")}
+    swapped["attn.wo"] = Tensor(params["attn.wo"].data[perm_cols, :], dtype="float64")
+    for name in ("attn.bias_table", "attn.tau"):
+        swapped[name] = Tensor(params[name].data[::-1].copy(), dtype="float64")
     permuted = multi_head(x, swapped, cfg, rope, positions)
     assert np.abs(base.data - permuted.data).max() < 1e-12
 
@@ -542,7 +549,7 @@ def test_multi_head_full_gradient():
     x = Tensor(rng.normal(size=(5, d)), requires_grad=True, dtype="float64")
     w = Tensor(rng.normal(size=(5, d)), dtype="float64")
     positions = np.arange(5)
-    tensors = [x, params.wq, params.wk, params.wv, params.wo, params.bias, params.tau]
+    tensors = [x, *params.values()]
     err = check_grads(
         lambda: core.sum_all(core.mul(multi_head(x, params, cfg, rope, positions), w)),
         tensors)

@@ -348,3 +348,22 @@ def test_two_pass_model_matches_naive_model():
     naive = tiny_model(seed=19, attention_path="naive")
     tiled = tiny_model(seed=19, attention_path="two_pass", tile=5)
     assert np.abs(naive.lm_forward(ids).data - tiled.lm_forward(ids).data).max() < 1e-5
+
+
+def test_attention_path_switches_on_a_built_model():
+    """Setting ``attn_cfg.path`` on a built model moves its next forward to that path.
+
+    A benchmark compares the two paths on one loaded checkpoint this way, so
+    a path fixed at build time would compare ``two_pass`` with itself.
+    """
+    from lazyattn.attention import AllocationMeter
+
+    ids = rand_ids(np.random.default_rng(20), 2, 12)
+    model = tiny_model(seed=21, tile=5)
+    logits = {}
+    for path in ("naive", "two_pass", "naive"):
+        model.attn_cfg.path = path
+        meter = AllocationMeter()
+        logits[path] = model.lm_forward(ids, meter=meter).data
+        assert (meter.peak > 0) == (path == "two_pass"), path
+    assert np.abs(logits["naive"] - logits["two_pass"]).max() < 1e-5

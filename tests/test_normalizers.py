@@ -164,26 +164,39 @@ def test_positive_tau_rows_can_sum_above_one():
     assert weight_rows(zeros, GLOBAL, 0.5)[3].sum() == pytest.approx(3.0)
 
 
-def test_elastic_weights_gradient_away_from_kink():
-    """Score and tau gradients of elastic rows through attend_naive's vjp."""
+def check_offset_gradient_away_from_kink(mode):
+    """Score and tau gradients of ``mode``'s offset rows through attend_naive's vjp.
+
+    Row i's offset is tau / i under ``elastic`` and tau under
+    ``elastic_global``; draws with a pre-rectifier weight near 0 are skipped.
+    """
     checked = 0
     for seed in range(30):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         s = rng.normal(size=(n, n)) * 2.0
         tau = float(rng.uniform(-1.5, -0.2))
-        pre = [softmax_vec(s[i, : i + 1]) + tau / (i + 1) for i in range(n)]
+        div = [i + 1 if mode is ELASTIC else 1 for i in range(n)]
+        pre = [softmax_vec(s[i, : i + 1]) + tau / div[i] for i in range(n)]
         if min(np.abs(row).min() for row in pre) < 1e-3:  # stay off the rectifier boundary
             continue
         q, k, v = score_qkv(s, grad=True)
         tt = tau_tensor(tau, grad=True)
         w = Tensor(rng.normal(size=q.shape), dtype="float64")
-        cfg = score_cfg(q, ELASTIC)
+        cfg = score_cfg(q, mode)
         err = check_grads(lambda: core.sum_all(core.mul(attend_naive(q, k, v, cfg, tau=tt), w)),
                           [q, tt])
         assert err < 1e-4
         checked += 1
     assert checked >= 10
+
+
+def test_elastic_weights_gradient_away_from_kink():
+    check_offset_gradient_away_from_kink(ELASTIC)
+
+
+def test_elastic_global_weights_gradient_away_from_kink():
+    check_offset_gradient_away_from_kink(GLOBAL)
 
 
 def test_density_and_sink_softmax_sums_to_one():

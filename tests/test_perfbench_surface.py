@@ -1,21 +1,28 @@
-"""Smoke test of the names the benchmark harness in ``perfbench/`` reaches.
+"""Smoke tests of what the benchmark harness in ``perfbench/`` reaches.
 
 ``perfbench.spans.Tracer`` wraps lazyattn functions and methods by name and
 passes ``capture=``/``meter=`` down the forward pass. Installing it around
 a one-step two-pass training run and a metered forward makes a rename of
-any of those names fail here instead of at the next benchmark run.
+any of those names fail here instead of at the next benchmark run. The
+workloads' output checks read model attributes (``bias_table.tables``,
+``window``, ``taus()``, ``attn_cfg.path``), so both workloads also run
+once at their tiny size.
 """
 
 import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 import lazyattn
 from lazyattn import diagnostics, training
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+sys.path.insert(0, str(ROOT / "perfbench"))  # workloads imports its siblings by bare name
 from perfbench import spans  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_wraps_a_two_pass_step_and_a_metered_forward(small_corpus_path, tmp_path):
@@ -41,3 +48,10 @@ def test_tracer_wraps_a_two_pass_step_and_a_metered_forward(small_corpus_path, t
             "attention.attend_two_pass.fwd", "model.save_checkpoint",
             "diagnostics.measure_density", "normalizers.density_and_sink"} <= names
     assert spans.per_layer(tracer, rounds=1)["training.step_ms"] > 0
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_tiny_workload_runs_and_passes_its_output_checks(workload, tmp_path):
+    res = workloads.run(workload, 3, 0.0, False, tmp_path, sizes=workloads.TINY)
+    assert res["attempted"] > 0 and res["failures"] == [] and res["failed"] == 0
+    assert res["errors"] == []

@@ -594,6 +594,29 @@ def test_bad_train_keys_fail_before_training_writes(bad, small_corpus_path, tmp_
     assert not out_dir.exists()
 
 
+def test_batch_larger_than_training_split_fails_before_writing(tmp_path, capsys):
+    """A batch needs that many distinct training chunks; a smaller split is a config error."""
+    from lazyattn.cli import main
+
+    corpus = tmp_path / "tiny.txt"
+    corpus.write_bytes(b"lazy attention " * 133)  # 1995 bytes: 60 chunks at n_ctx 32, 58 to train
+    out_dir = tmp_path / "out"
+    mc = ModelConfig(n_layers=1, d_model=32, n_heads=2, n_ctx=32, window=8)
+    tc = TrainConfig(corpus=str(corpus), out_dir=str(out_dir), steps=3, warmup=0,
+                     batch_tokens=3200, eval_every=0)
+    with pytest.raises(ConfigError, match="batch_tokens 3200 needs 100 training chunks; "
+                                          "the training split holds 58"):
+        train(mc, tc)
+    assert not out_dir.exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus = {corpus}\nout_dir = {out_dir}\nsteps = 3\nwarmup = 0\n"
+                   "batch_tokens = 3200\neval_every = 0\n"
+                   "n_layers = 1\nd_model = 32\nn_heads = 2\nn_ctx = 32\nwindow = 8\n")
+    assert main(["train", "--config", str(cfg), "--quiet"]) == 2
+    assert "the training split holds 58" in capsys.readouterr().err
+    assert not (out_dir / "run_meta.json").exists() and not (out_dir / "checkpoint.bin").exists()
+
+
 def test_cli_train_and_diagnose(small_corpus_path, tmp_path):
     from lazyattn.cli import main
 
