@@ -36,9 +36,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    try:
+        lengths = [int(x) for x in args.lengths.split(",")]
+    except ValueError:
+        raise ValueError(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
     model, _ = load_checkpoint(args.checkpoint)
     tokens = _read_tokens(args.text)
-    lengths = [int(x) for x in args.lengths.split(",")]
     rows = diagnostics.eval_ppl(model, tokens, lengths)
     diagnostics.write_ppl_csv(rows, args.out)
     for r in rows:

@@ -20,12 +20,12 @@ is made of); with one usable CPU, or a BLAS without a thread setter, the
 pool has one thread. Each shard's loss is scaled by its share of the rows,
 and the shard gradients are summed into the model's in shard order, which
 gives the full batch's gradient (Goyal et al. 2017, arXiv:1706.02677) up to
-rounding. ``train``'s held-out evals run whole batches on the same map, and
-the per-batch losses are summed in batch order. A shard or a batch computes
-the same bits whichever thread runs it, so a run's bits do not depend on
-how many threads ran them. The CLI ``eval`` calls ``mean_nll`` with the
-builtin ``map`` and stays on the calling thread: on a 2-core host with
-steal time, a timed eval that needs both cores swings with the host's load.
+rounding. Every held-out eval, ``train``'s and the CLI ``eval``'s, goes
+through ``mean_nll``, which runs whole batches on a shard map of its own,
+again with BLAS pinned to one thread, and sums the per-batch losses in
+batch order. A shard or a batch computes the same bits whichever thread
+runs it, so neither a run's bits nor an eval's depend on how many threads
+ran them.
 """
 
 from __future__ import annotations
@@ -286,21 +286,19 @@ def _sharded_grads(replicas: list[TransformerLM], batch: np.ndarray, mapper) -> 
 
 
 def mean_nll(model: TransformerLM, chunks: np.ndarray, *, batch_size: int = 16,
-             max_len: int | None = None, mapper=map) -> float:
+             max_len: int | None = None) -> float:
     """Mean per-token negative log-likelihood over (N, len+1) eval chunks.
 
-    ``mapper`` evaluates each batch whole and returns the per-batch losses
-    in batch order, which are summed in that order, so the result has the
-    same bits whichever threads ran the batches. ``train`` passes its shard
-    map; the CLI ``eval`` keeps the builtin ``map`` on the calling thread,
-    because on a 2-core host with steal time two eval threads swung by a
-    third with the host's load.
+    Each batch is evaluated whole on one thread of ``_shard_map(SHARDS)``;
+    the per-batch losses come back in batch order and are summed in that
+    order, so the result has the same bits whichever threads ran the batches.
     """
     def batch_loss(i: int) -> float:
         part = chunks[i:i + batch_size]
         return model.loss(part[:, :-1], part[:, 1:], max_len=max_len).item() * part[:, 1:].size
 
-    return sum(mapper(batch_loss, range(0, len(chunks), batch_size))) / chunks[:, 1:].size
+    with _shard_map(SHARDS) as shard_map:
+        return sum(shard_map(batch_loss, range(0, len(chunks), batch_size))) / chunks[:, 1:].size
 
 
 @dataclass
@@ -329,9 +327,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
     Writes to out_dir: train_log.csv (step, loss, lr, grad_norm, the global
     gradient norm before clipping, and wallclock), eval_log.csv (step,
     eval_loss, eval_ppl), run_meta.json (which also records the shard count,
-    the threads that ran the shards and the eval batches, and whether BLAS
-    was pinned),
-    checkpoint.bin. Each step runs its row shards as the module docstring
+    the threads that ran the shards, and whether BLAS was pinned for them)
+    and checkpoint.bin. Steps and evals use threads as the module docstring
     describes. Fully deterministic for a fixed (seed, config, corpus) on one
     platform, whatever the number of threads.
     """
@@ -379,7 +376,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
     eval_path = os.path.join(train_cfg.out_dir, "eval_log.csv")
 
     def run_eval(step: int, writer) -> float:
-        el = mean_nll(model, eval_chunks, batch_size=batch_size, mapper=shard_map)
+        el = mean_nll(model, eval_chunks, batch_size=batch_size)
         writer.writerow([step, repr(el), repr(math.exp(el))])
         return el
 

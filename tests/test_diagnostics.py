@@ -2,6 +2,7 @@
 
 import csv
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -319,6 +320,80 @@ def test_cli_diagnostic_subcommands(small_corpus_path, tmp_path):
                  "--lengths", "999999", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_cli_eval_csv_does_not_depend_on_the_thread_count(dtype, small_corpus_path, tmp_path,
+                                                          monkeypatch):
+    """One and two eval threads write the same eval.csv bytes.
+
+    Under two threads the first batch of each length is held until every
+    other batch of that length is done, so the losses finish far out of
+    batch order. Only the float64 model shows a sum taken in the order they
+    finish: float32 batch losses times their token counts sum exactly in
+    any order.
+    """
+    from lazyattn import training
+    from lazyattn.cli import main
+    from lazyattn.model import BOS_ID, save_checkpoint
+
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(small_model(seed=23, normalizer="elastic", positional="rope_bias",
+                                dtype=dtype), ckpt)
+    text = tmp_path / "text.bin"
+    text.write_bytes(small_corpus_path.read_bytes()[:12000])
+    batches = {32: math.ceil(363 / 8), 64: 184 // 2}  # eval_ppl's batch sizes: 8, and 2 beyond n_ctx
+    loss, done, cond, hold = TransformerLM.loss, {}, threading.Condition(), [False]
+
+    def last_first_batch(self, ids, targets, *, max_len=None):
+        if hold[0] and ids[0, 0] == BOS_ID:  # the first window starts the stream
+            with cond:
+                assert cond.wait_for(lambda: done.get(max_len) == batches[max_len] - 1,
+                                     timeout=60)
+        out = loss(self, ids, targets, max_len=max_len)
+        with cond:
+            done[max_len] = done.get(max_len, 0) + 1
+            cond.notify_all()
+        return out
+
+    monkeypatch.setattr(TransformerLM, "loss", last_first_batch)
+    csv_bytes = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        hold[0] = training._shard_threads(training.SHARDS) == 2
+        done.clear()
+        out = tmp_path / f"eval{cpus}.csv"
+        assert main(["eval", "--checkpoint", str(ckpt), "--text", str(text),
+                     "--lengths", "32,64", "--out", str(out)]) == 0
+        assert done == batches
+        csv_bytes[cpus] = out.read_bytes()
+    assert [int(r["windows"]) for r in read_rows(out)] == [363, 184]
+    assert csv_bytes[1] == csv_bytes[2]
+
+
+def test_eval_ppl_reraises_a_failed_batch_and_joins_its_threads(small_corpus_path, monkeypatch):
+    from lazyattn import core, training
+
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    model = small_model(seed=24)
+    tokens = tokenize_bytes(small_corpus_path.read_bytes())[:2000]
+    loss, calls, lock = model.loss, [], threading.Lock()
+
+    def failing_loss(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("eval batch failed")
+        return loss(*args, **kwargs)
+
+    monkeypatch.setattr(model, "loss", failing_loss)
+    threads_before = threading.active_count()
+    blas_before = core._BLAS_THREADS[0]() if core.BLAS_PINNABLE else None
+    with pytest.raises(RuntimeError, match="eval batch failed"):
+        eval_ppl(model, tokens, [32])
+    assert threading.active_count() == threads_before
+    if core.BLAS_PINNABLE:
+        assert core._BLAS_THREADS[0]() == blas_before
+
+
 @pytest.mark.parametrize("command, args, name", [
     ("eval", ["--lengths", "-1"], "eval length"),
     ("eval", ["--lengths", "0"], "eval length"),
@@ -332,8 +407,12 @@ def test_cli_diagnostic_subcommands(small_corpus_path, tmp_path):
     ("stats-sink", ["--length", "0"], "--length"),
     ("probe-repeat", ["--length", "-4"], "probe length n"),
     ("probe-repeat", ["--length", "1"], "probe length n"),
+    ("eval", ["--lengths", "128,"], "--lengths must be comma-separated integers, got '128,'"),
+    ("eval", ["--lengths", "abc"], "--lengths must be comma-separated integers, got 'abc'"),
+    ("eval", ["--lengths", ""], "--lengths must be comma-separated integers, got ''"),
 ])
 def test_cli_rejects_nonpositive_sizes(tmp_path, capsys, command, args, name):
+    """A size below its minimum, or a malformed --lengths list, exits 2 with a named error."""
     from lazyattn.cli import main
     from lazyattn.model import save_checkpoint
 

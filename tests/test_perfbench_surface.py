@@ -6,9 +6,10 @@ a one-step two-pass training run and a metered forward makes a rename of
 any of those names fail here instead of at the next benchmark run. The
 workloads' output checks read model attributes (``bias_table.tables``,
 ``window``, ``taus()``, ``attn_cfg.path``), so both workloads also run
-once at their tiny size.
+once at their tiny size, untraced and traced.
 """
 
+import math
 import pathlib
 import sys
 
@@ -50,8 +51,15 @@ def test_tracer_wraps_a_two_pass_step_and_a_metered_forward(small_corpus_path, t
     assert spans.per_layer(tracer, rounds=1)["training.step_ms"] > 0
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_tiny_workload_runs_and_passes_its_output_checks(workload, tmp_path):
-    res = workloads.run(workload, 3, 0.0, False, tmp_path, sizes=workloads.TINY)
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param(w, trace, id=w + "-traced" * trace)
+    for w in workloads.WORKLOADS for trace in (False, True)])
+def test_tiny_workload_runs_and_passes_its_output_checks(workload, trace, tmp_path):
+    """A traced run also aggregates its spans into finite per-layer figures and writes them."""
+    res = workloads.run(workload, 3, 0.0, trace, tmp_path, sizes=workloads.TINY)
     assert res["attempted"] > 0 and res["failures"] == [] and res["failed"] == 0
     assert res["errors"] == []
+    if trace:
+        res["tracer"].write(tmp_path / "trace.json")
+        assert len(res["per_layer"]) == 43
+        assert all(math.isfinite(v) for v in res["per_layer"].values()), res["per_layer"]

@@ -311,11 +311,11 @@ def test_mean_nll_through_two_threads_matches_one_thread(monkeypatch):
     """
     model = shard_model("lazy", "float64")
     chunks = np.random.default_rng(7).integers(0, 256, size=(13, 33))
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
     one = training.mean_nll(model, chunks, batch_size=2)
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
-    with training._shard_map(2) as shard_map:
-        two = training.mean_nll(model, chunks, batch_size=2, mapper=shard_map)
-    assert training._shard_threads(2) == (2 if core.BLAS_PINNABLE else 1)
+    two = training.mean_nll(model, chunks, batch_size=2)
+    assert training._shard_threads(training.SHARDS) == (2 if core.BLAS_PINNABLE else 1)
     assert two == one
 
 
