@@ -233,9 +233,8 @@ def _pack_grads(dq3, dk3, dv3, dbias, dtau_g, bias: Tensor | None, tau: Tensor |
 def _normalize_full(s: np.ndarray, mode: NormalizerMode, off: np.ndarray | None, lower: np.ndarray):
     """Forward normalization of full (G, n, n) scores whose upper triangle is -inf.
 
-    Returns (weights, softmax_probs, active_gate). For sparsemax the probs
-    slot carries None and the gate is the support. Softmax overwrites ``s``
-    with the probabilities.
+    Returns (weights, softmax_probs); for sparsemax the probs slot carries
+    None. Softmax overwrites ``s`` with the probabilities.
     """
     if mode is NormalizerMode.SPARSEMAX:
         g, n, _ = s.shape
@@ -243,19 +242,17 @@ def _normalize_full(s: np.ndarray, mode: NormalizerMode, off: np.ndarray | None,
         for gi in range(g):
             for i in range(n):
                 w[gi, i, : i + 1] = sparsemax_row(s[gi, i, : i + 1])
-        return w, None, w > 0
+        return w, None
     p = s
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     if mode is NormalizerMode.SOFTMAX:
-        return p, p, None
+        return p, p
     w = p + off[:, :, None]
-    gate = w > 0
-    gate &= lower
     np.maximum(w, 0.0, out=w)
     w *= lower
-    return w, p, gate
+    return w, p
 
 
 def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
@@ -283,7 +280,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     s = q3 @ k3.transpose(0, 2, 1)
     s *= sc
     s.reshape(batch, h, n, n)[...] += _distance_term(table, 0, n, dtype)
-    w, p, gate = _normalize_full(s, mode, off, lower)
+    w, p = _normalize_full(s, mode, off, lower)
     inputs = _tape_inputs(q, k, v, bias, tau, config)
     out = Tensor(_merge_groups(w @ v3, batch, h),
                  requires_grad=any(t.requires_grad for t in inputs))
@@ -303,8 +300,8 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
                 for i in range(n):
                     ds[gi, i, : i + 1] = sparsemax_vjp(w[gi, i, : i + 1], dw[gi, i, : i + 1])
         else:
-            if gate is not None:  # softmax needs no mask: p is 0 on masked entries
-                ds *= gate
+            if off is not None:  # softmax needs no mask: p is 0 on masked entries
+                ds *= w > 0  # w is rectified and masked: this gates both
                 dtau_g = (ds.sum(axis=-1) / div).sum(axis=-1)
             ds -= np.einsum("gij,gij->gi", p, ds)[:, :, None]
             ds *= p

@@ -3,9 +3,11 @@
 Tensors wrap row-major numpy arrays. The element type is a run switch:
 float32 (default) for training speed, float64 for verification against
 finite differences. Operations executed while a ``Tape`` is active are
-recorded in order; ``backward`` replays the records in reverse, so gradient
-accumulation happens in a fixed sequential order and replaying the same
-tape twice yields bit-identical gradients.
+recorded in order; ``backward`` consumes them in reverse, so gradient
+accumulation happens in a fixed sequential order and each record's saved
+arrays and output gradient are freed as soon as no earlier op needs them.
+A tape serves one backward; afterwards only leaves (tensors that no
+recorded op produced) hold gradients.
 
 Tapes are per thread: a ``Tape`` records only the ops its own thread runs
 while it is active, so threads can each differentiate their own
@@ -20,15 +22,15 @@ Row-vector biases go through the dedicated ``add_row`` op instead.
 
 Backward rules (vjps) return, per input, either a freshly allocated array
 or the upstream gradient itself or a view of it; they never return an
-array they saved in the forward. ``backward`` relies on that contract: it
-takes ownership of a fresh array as the input's first gradient and
-accumulates later ones into it in place, copying only the upstream
-gradient, its views, and an array handed to two inputs.
+array they saved in the forward. ``backward`` relies on that contract: the
+output gives up its gradient before the rule runs, so the first input
+handed an array keeps it as its gradient without a copy (a second input
+handed the same memory gets a copy), and later ones accumulate in place.
 
 Allocator policy: a training step frees a few MB of activations and
-gradients when its tape is released and allocates them again in the next
-step. By default glibc trims that memory back to the OS and moves its
-mmap threshold around, so every step faults its buffers in again as
+gradients as its backward consumes its tape and allocates them again in
+the next step. By default glibc trims that memory back to the OS and moves
+its mmap threshold around, so every step faults its buffers in again as
 freshly zeroed pages. Importing this module therefore sets glibc's
 ``M_MMAP_THRESHOLD`` to 32 MiB (its maximum; fixing it also turns off the
 dynamic threshold) and ``M_TRIM_THRESHOLD`` to 1 GiB, so freed heap stays
@@ -208,11 +210,11 @@ _ACTIVE = _TapeStack()
 
 
 class Tape:
-    """Ordered record of executed ops; context manager activates recording."""
+    """Ordered record of executed ops, consumed by one ``backward``; entering it records."""
 
     def __init__(self):
         self.records: list[_Record] = []
-        self._output_ids: set[int] = set()
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _ACTIVE.tapes.append(self)
@@ -225,13 +227,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self.records)
 
-    def zero_grads(self) -> None:
-        """Clear grads of every tensor touched by this tape (for replay)."""
-        for rec in self.records:
-            rec.output.grad = None
-            for t in rec.inputs:
-                t.grad = None
-
 
 def record_op(output: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     """Attach a backward rule to ``output`` on this thread's active tape, if any.
@@ -242,34 +237,42 @@ def record_op(output: Tensor, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     """
     tapes = _ACTIVE.tapes
     if tapes and output.requires_grad:
-        tape = tapes[-1]
-        tape.records.append(_Record(output, inputs, vjp))
-        tape._output_ids.add(id(output))
+        tapes[-1].records.append(_Record(output, inputs, vjp))
     return output
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate ``grad`` of every requires_grad tensor reachable from ``loss``."""
+    """Populate ``grad`` of every requires_grad leaf reachable from ``loss``, consuming ``tape``."""
     if loss.size != 1:
         raise ValueError("backward: loss must be a scalar tensor")
-    if id(loss) not in tape._output_ids:
+    if tape._consumed:
+        raise ValueError("backward: this tape was consumed by an earlier backward")
+    if not any(rec.output is loss for rec in reversed(tape.records)):
         raise ValueError("backward: loss was not produced under this tape")
+    tape._consumed = True
     loss.grad = np.ones_like(loss.data)
-    for rec in reversed(tape.records):
-        g = rec.output.grad
-        if g is None:
+    while tape.records:
+        _run_rule(tape.records.pop())
+
+
+def _run_rule(rec: _Record) -> None:
+    """Hand ``rec``'s output gradient to its inputs; the output keeps none."""
+    g, rec.output.grad = rec.output.grad, None
+    if g is None:
+        return
+    taken = []  # arrays handed over as first gradients by this rule
+    for t, gi in zip(rec.inputs, rec.vjp(g)):
+        if gi is None or not t.requires_grad:
             continue
-        owned = [g]  # arrays some tensor already holds, or that belong to the output
-        for t, gi in zip(rec.inputs, rec.vjp(g)):
-            if gi is None or not t.requires_grad:
-                continue
-            if t.grad is None:
-                if any(np.may_share_memory(gi, o) for o in owned):
-                    gi = gi.copy()
-                t.grad = gi
-                owned.append(gi)
-            else:
-                t.grad += gi
+        if t.grad is None:
+            if any(np.may_share_memory(gi, o) for o in taken):
+                gi = gi.copy()
+            t.grad = gi
+            taken.append(gi)
+        elif any(t.grad is o for o in taken):  # an input listed twice: later inputs may alias it
+            t.grad = t.grad + gi
+        else:
+            t.grad += gi
 
 
 def _result_flag(*tensors: Tensor) -> bool:

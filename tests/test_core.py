@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,17 +169,37 @@ def test_backward_rejects_off_tape_loss():
             backward(other, loss)
 
 
-def test_tape_replay_is_bit_identical():
-    rng = np.random.default_rng(21)
-    x = Tensor(rng.normal(size=(16, 8)), requires_grad=True, dtype="float32")
-    w = Tensor(rng.normal(size=(8, 8)), requires_grad=True, dtype="float32")
+def gelu_step_grads(x, w):
+    """Leaf gradients of one gelu(x @ w) step, taped on a fresh tape."""
     with Tape() as tape:
         loss = core.sum_all(core.gelu(core.matmul(x, w)))
     backward(tape, loss)
-    first = (x.grad.tobytes(), w.grad.tobytes())
-    tape.zero_grads()
+    return x.grad.tobytes(), w.grad.tobytes()
+
+
+def test_the_same_step_on_two_fresh_tapes_is_bit_identical():
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(16, 8)), requires_grad=True, dtype="float32")
+    w = Tensor(rng.normal(size=(8, 8)), requires_grad=True, dtype="float32")
+    first = gelu_step_grads(x, w)
+    x.grad = w.grad = None
+    assert gelu_step_grads(x, w) == first
+
+
+def test_backward_consumes_its_tape_and_leaves_grads_only_on_leaves():
+    rng = np.random.default_rng(22)
+    x = t64(rng.normal(size=(4, 3)))
+    w = t64(rng.normal(size=(3, 5)))
+    with Tape() as tape:
+        h = core.matmul(x, w)
+        loss = core.sum_all(core.gelu(h))
+    assert len(tape) == 3
     backward(tape, loss)
-    assert (x.grad.tobytes(), w.grad.tobytes()) == first
+    assert len(tape) == 0
+    assert h.grad is None and loss.grad is None
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    with pytest.raises(ValueError, match="consumed"):
+        backward(tape, loss)
 
 
 def column_views(a, b):
@@ -200,10 +221,9 @@ def test_backward_gives_each_leaf_its_own_grad(op):
                "column_views": lambda: column_views(a, b)}[op]()
         loss = core.sum_all(core.mul(out, cot))
     backward(tape, loss)
-    b_grad, out_grad = b.grad.copy(), out.grad.copy()
+    b_grad = b.grad.copy()
     a.grad += 1.0
     assert np.array_equal(b.grad, b_grad)
-    assert np.array_equal(out.grad, out_grad)
     assert not np.may_share_memory(a.grad, b.grad)
 
 
@@ -224,19 +244,69 @@ def test_backward_copies_one_array_handed_to_two_inputs():
     assert np.array_equal(y.grad, [2.0, 2.0])
 
 
-def test_tape_replay_of_a_model_step_is_bit_identical():
-    """Owned first gradients are fresh per replay, so accumulation cannot leak across replays."""
+def test_backward_copies_before_accumulating_into_an_input_listed_twice():
+    """x takes the upstream grad and then accumulates into it; y still gets the grad unchanged."""
+    x = t64([1.0, 2.0])
+    y = t64([3.0, 4.0])
+    with Tape() as tape:
+        out = core.record_op(Tensor(2 * x.data + y.data, requires_grad=True), (x, x, y),
+                             lambda g: (g, g, g))
+        loss = core.sum_all(core.mul(out, t64([1.0, 10.0], grad=False)))
+    backward(tape, loss)
+    assert np.array_equal(x.grad, [2.0, 20.0])
+    assert np.array_equal(y.grad, [1.0, 10.0])
+
+
+def model_step_grads(model, ids):
+    """Parameter gradients of one loss step on a fresh tape, then cleared from the model."""
+    with Tape() as tape:
+        loss = model.loss(ids[:, :-1], ids[:, 1:])
+    backward(tape, loss)
+    grads = {name: t.grad.tobytes() for name, t in model.parameters().items()}
+    model.zero_grads()
+    return grads
+
+
+def test_the_same_model_step_on_two_fresh_tapes_is_bit_identical():
+    """First gradients taken without a copy leave nothing behind that a later step reuses."""
     from lazyattn.model import ModelConfig, TransformerLM
 
     model = TransformerLM(ModelConfig(n_layers=2, d_model=16, n_heads=2, n_ctx=8, window=4))
     ids = np.random.default_rng(24).integers(0, 256, size=(2, 9))
-    with Tape() as tape:
-        loss = model.loss(ids[:, :-1], ids[:, 1:])
-    backward(tape, loss)
-    first = {name: t.grad.tobytes() for name, t in model.parameters().items()}
-    tape.zero_grads()
-    backward(tape, loss)
-    assert {name: t.grad.tobytes() for name, t in model.parameters().items()} == first
+    assert model_step_grads(model, ids) == model_step_grads(model, ids)
+
+
+@pytest.mark.parametrize("path, n", [("naive", 32), ("two_pass", 64)])
+@pytest.mark.parametrize("normalizer", ["softmax", "elastic"])
+def test_backward_peak_stays_near_what_the_forward_left(path, n, normalizer):
+    """Consuming the tape frees each record's saved arrays and output gradient as it goes.
+
+    tracemalloc sees numpy's buffers. Above the pre-forward baseline, the
+    backward's peak stays under 1.3 times what the forward left allocated
+    (a backward that keeps the whole tape and every intermediate gradient
+    until it returns reads above 1.5), and once it returns little more than
+    the leaf gradients stays allocated (one that keeps the tape's records
+    keeps the whole forward).
+    """
+    from lazyattn.model import ModelConfig, TransformerLM
+
+    model = TransformerLM(ModelConfig(n_layers=2, d_model=32, n_heads=2, n_ctx=n, window=16,
+                                      normalizer=normalizer, attention_path=path, tile=8))
+    ids = np.random.default_rng(25).integers(0, 256, size=(4, n + 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            loss = model.loss(ids[:, :-1], ids[:, 1:])
+        forward = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(tape, loss)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * forward, (peak, forward, peak / forward)
+    grads = sum(t.grad.nbytes for t in model.parameters().values() if t.grad is not None)
+    assert kept < grads + 0.1 * forward, (kept, grads, forward)
 
 
 def test_embedding_backward_matches_a_scalar_loop():

@@ -43,6 +43,7 @@ def test_tracer_wraps_a_two_pass_step_and_a_metered_forward(small_corpus_path, t
     finally:
         tracer.uninstall()
     assert tracer.meter.peak > 0  # the training step's two-pass calls got the tracer's meter
+    assert tracer.tape_records > 0  # counted before backward consumes the tape
     assert meter.peak > 0 and len(capture.layers) == mc.n_layers
     names = {span[0] for span in tracer.spans}
     assert {"training.train", "model.loss", "core.backward", "training.opt.step",
@@ -63,3 +64,4 @@ def test_tiny_workload_runs_and_passes_its_output_checks(workload, trace, tmp_pa
         res["tracer"].write(tmp_path / "trace.json")
         assert len(res["per_layer"]) == 43
         assert all(math.isfinite(v) for v in res["per_layer"].values()), res["per_layer"]
+        assert res["per_layer"]["core.tape_records"] > 0

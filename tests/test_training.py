@@ -306,17 +306,38 @@ def test_mean_nll_sums_batches_in_batch_order():
 def test_mean_nll_through_two_threads_matches_one_thread(monkeypatch):
     """Seven batches dealt to two threads give the one-thread bits, the short last one included.
 
-    The model is float64: float32 batch losses times their token counts sum
-    exactly in any order, so only float64 shows a sum taken out of order.
+    Under two threads the first batch is held until the other six are done,
+    so the losses finish far out of batch order. The model is float64:
+    float32 batch losses times their token counts sum exactly in any order,
+    so only float64 shows a sum taken in the order the batches finish; on
+    these chunks that sum differs from the batch-order one in the last bit.
     """
     model = shard_model("lazy", "float64")
-    chunks = np.random.default_rng(7).integers(0, 256, size=(13, 33))
+    chunks = np.random.default_rng(9).integers(0, 256, size=(13, 33))
+    loss, done, cond, hold = TransformerLM.loss, [], threading.Condition(), [False]
+
+    def last_first_batch(self, ids, targets, *, max_len=None):
+        if hold[0] and np.array_equal(ids, chunks[:2, :-1]):
+            with cond:
+                assert cond.wait_for(lambda: len(done) == 6, timeout=60)
+        out = loss(self, ids, targets, max_len=max_len)
+        with cond:
+            done.append(out.item() * targets.size)  # mean_nll's term, in finishing order
+            cond.notify_all()
+        return out
+
+    monkeypatch.setattr(TransformerLM, "loss", last_first_batch)
     monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
     one = training.mean_nll(model, chunks, batch_size=2)
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    hold[0] = training._shard_threads(training.SHARDS) == 2
+    done.clear()
     two = training.mean_nll(model, chunks, batch_size=2)
-    assert training._shard_threads(training.SHARDS) == (2 if core.BLAS_PINNABLE else 1)
+    assert hold[0] == core.BLAS_PINNABLE
+    assert len(done) == 7
     assert two == one
+    if hold[0]:
+        assert sum(done) / chunks[:, 1:].size != one
 
 
 def _train_log_without_wallclock(out_dir):
