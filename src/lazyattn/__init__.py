@@ -33,7 +33,7 @@ from .positional import (
 from .normalizers import (
     NormalizerMode,
     density_and_sink,
-    sparsemax_row,
+    sparsemax,
 )
 from .attention import (
     AllocationMeter,

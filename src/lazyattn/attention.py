@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import ShapeError, Tensor, matmul, record_op
-from .normalizers import NormalizerMode, sparsemax_row, sparsemax_vjp
+from .normalizers import NormalizerMode, sparsemax
 from .positional import RopeConfig, alibi_slope, apply_rope
 
 
@@ -237,12 +237,7 @@ def _normalize_full(s: np.ndarray, mode: NormalizerMode, off: np.ndarray | None,
     None. Softmax overwrites ``s`` with the probabilities.
     """
     if mode is NormalizerMode.SPARSEMAX:
-        g, n, _ = s.shape
-        w = np.zeros_like(s)
-        for gi in range(g):
-            for i in range(n):
-                w[gi, i, : i + 1] = sparsemax_row(s[gi, i, : i + 1])
-        return w, None
+        return sparsemax(s).astype(s.dtype, copy=False), None
     p = s
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
@@ -293,12 +288,11 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         dv3 = w.transpose(0, 2, 1) @ g3
         ds = g3 @ v3.transpose(0, 2, 1)  # dw, turned into the score gradient in place
         dtau_g = None
-        if mode is NormalizerMode.SPARSEMAX:
-            dw = ds
-            ds = np.zeros_like(dw)
-            for gi in range(dw.shape[0]):
-                for i in range(n):
-                    ds[gi, i, : i + 1] = sparsemax_vjp(w[gi, i, : i + 1], dw[gi, i, : i + 1])
+        if mode is NormalizerMode.SPARSEMAX:  # dw minus its mean over each row's support
+            supp = w > 0
+            ds *= supp
+            ds -= ds.sum(axis=-1, keepdims=True) / supp.sum(axis=-1, keepdims=True)
+            ds *= supp
         else:
             if off is not None:  # softmax needs no mask: p is 0 on masked entries
                 ds *= w > 0  # w is rectified and masked: this gates both

@@ -15,7 +15,7 @@ attention paths compute:
   softmax         softmax(s)
   elastic         relu(softmax(s) + tau / i)   learnable tau per head
   elastic_global  relu(softmax(s) + tau)       learnable, no 1/i split
-  sparsemax       euclidean projection of s onto the simplex (``sparsemax_row``)
+  sparsemax       euclidean projection of s onto the simplex (``sparsemax``)
 
 Both offset modes add tau / div_i to row i, with div_i = i under
 ``elastic`` and div_i = 1 under ``elastic_global``; the attention paths
@@ -58,32 +58,22 @@ class NormalizerMode(enum.Enum):
         return self in (NormalizerMode.ELASTIC_GLOBAL, NormalizerMode.ELASTIC_PER_QUERY)
 
 
-def sparsemax_row(scores) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort + threshold).
+def sparsemax(scores) -> np.ndarray:
+    """Euclidean projection of each row (last axis) onto the simplex (sort + threshold).
 
-    Output sums to 1 and supports exact zeros; idempotent under
+    Computed and returned in float64. Rows sum to 1 and support exact
+    zeros; ``-inf`` entries (masked keys) come out 0. Idempotent under
     re-projection.
     """
     z = np.asarray(scores, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] < 1:
-        raise ValueError("scores must be a non-empty vector")
-    n = z.shape[0]
-    zs = np.sort(z)[::-1]
-    css = np.cumsum(zs) - 1.0
-    ind = np.arange(1, n + 1)
-    support = zs - css / ind > 0
-    k = int(ind[support][-1])
-    thr = css[k - 1] / k
+    if z.ndim < 1 or z.shape[-1] < 1:
+        raise ValueError("scores must have a non-empty last axis")
+    zs = np.flip(np.sort(z, axis=-1), axis=-1)
+    css = np.cumsum(zs, axis=-1) - 1.0
+    with np.errstate(invalid="ignore"):  # a masked tail's -inf - -inf is NaN: not support
+        k = (zs - css / np.arange(1, z.shape[-1] + 1) > 0).sum(axis=-1, keepdims=True)
+    thr = np.take_along_axis(css, k - 1, axis=-1) / k
     return np.maximum(z - thr, 0.0)
-
-
-def sparsemax_vjp(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Support-restricted Jacobian: grad minus support mean on the support."""
-    supp = weights > 0
-    ns = supp.sum()
-    out = np.zeros_like(g)
-    out[supp] = g[supp] - g[supp].sum() / ns
-    return out
 
 
 def density_and_sink(layer_weights: list[np.ndarray]):

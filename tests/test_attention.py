@@ -156,6 +156,35 @@ def test_attend_naive_sparsemax_matches_scalar_loop():
     assert np.abs(out.data - want).max() < 1e-9
 
 
+def test_attend_naive_sparsemax_gradient():
+    """Sparsemax gradients on q, k, v and the bias table, batched and multi-head,
+    against finite differences of the scalar-loop oracle per (sequence, head)."""
+    rng = np.random.default_rng(20)
+    batch, heads, n, dh = 2, 2, 6, 4
+    q, k, v = rand_qkv(rng, batch * n, heads * dh, grad=True)
+    bias = Tensor(rng.normal(size=(heads, 4)) * 0.5, requires_grad=True, dtype="float64")
+    cot = rng.normal(size=(batch * n, heads * dh))
+    cfg = make_cfg(NormalizerMode.SPARSEMAX, heads=heads, dh=dh)
+
+    def oracle(qa, ka, va, ba):
+        total = 0.0
+        for b in range(batch):
+            rows = slice(b * n, (b + 1) * n)
+            for h in range(heads):
+                cols = slice(h * dh, (h + 1) * dh)
+                out, _ = attention_scalar_loop(qa[rows, cols], ka[rows, cols], va[rows, cols],
+                                               bias_vec=ba[h], window=ba.shape[1] - 1,
+                                               kind="sparsemax")
+                total += float((out * cot[rows, cols]).sum())
+        return total
+
+    w = Tensor(cot, dtype="float64")
+    err = check_grads(
+        lambda: core.sum_all(core.mul(attend_naive(q, k, v, cfg, bias=bias, batch=batch), w)),
+        [q, k, v, bias], reference=oracle)
+    assert err < 1e-6
+
+
 def test_captured_weights_are_causal_and_normalized():
     rng = np.random.default_rng(7)
     n = 10

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lazyattn import core
 from lazyattn.attention import AttentionConfig, CaptureBuffer, attend_naive
 from lazyattn.core import Tensor
-from lazyattn.normalizers import NormalizerMode, density_and_sink, sparsemax_row
+from lazyattn.normalizers import NormalizerMode, density_and_sink, sparsemax
 
 from oracles import attention_scalar_loop, check_grads, softmax_vec, sparsemax_bisection
 
@@ -121,26 +121,41 @@ def test_global_offset_examples():
 
 
 def test_sparsemax_examples():
-    assert np.allclose(sparsemax_row(np.array([0.5, 0.5])), [0.5, 0.5])
+    assert np.allclose(sparsemax(np.array([0.5, 0.5])), [0.5, 0.5])
     # KKT threshold for [2, 0] is 1: sum(max(z - 1, 0)) = 1
-    assert np.allclose(sparsemax_row(np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-12)
+    assert np.allclose(sparsemax(np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-12)
 
 
 def test_sparsemax_matches_bisection_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(100):
-        z = rng.normal(size=8) * rng.uniform(0.1, 5.0)
-        assert np.abs(sparsemax_row(z) - sparsemax_bisection(z)).max() < 1e-9
+    z = np.stack([rng.normal(size=8) * rng.uniform(0.1, 5.0) for _ in range(100)])
+    w = sparsemax(z)  # one call projects every row
+    for row, got in zip(z, w):
+        assert np.abs(got - sparsemax_bisection(row)).max() < 1e-9
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.lists(finite_floats, min_size=1, max_size=12))
-def test_sparsemax_is_distribution_and_idempotent(scores):
-    z = np.array(scores)
-    w = sparsemax_row(z)
-    assert np.all(w >= 0.0)
-    assert abs(w.sum() - 1.0) < 1e-9
-    assert np.abs(sparsemax_row(w) - w).max() < 1e-9
+@given(st.integers(min_value=1, max_value=12).flatmap(
+           lambda n: st.lists(st.lists(finite_floats, min_size=n, max_size=n),
+                              min_size=1, max_size=4)),
+       st.integers(min_value=0, max_value=5))
+def test_sparsemax_is_distribution_and_idempotent(rows, pad):
+    """Every row projects onto the simplex, whether alone, stacked or padded.
+
+    ``pad`` masked (-inf) keys appended to a row leave its finite part's
+    weights the same bits and get exactly 0.
+    """
+    z = np.array(rows)
+    each = np.stack([sparsemax(row) for row in z])
+    assert np.array_equal(sparsemax(z), each)
+    assert np.all(each >= 0.0)
+    assert np.abs(each.sum(axis=-1) - 1.0).max() < 1e-9
+    assert np.abs(sparsemax(each) - each).max() < 1e-9
+    padded = sparsemax(np.concatenate([z, np.full((len(z), pad), -np.inf)], axis=-1))
+    assert np.array_equal(padded[:, : z.shape[1]], each)
+    assert np.all(padded[:, z.shape[1]:] == 0.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        sparsemax(z[:, :0])
 
 
 @settings(deadline=None, max_examples=150)

@@ -216,6 +216,7 @@ SHARD_MODELS = {
     "lazy": dict(positional="rope_bias", normalizer="elastic", tau_init=-1.0),
     "lazy_two_pass": dict(positional="rope_bias", normalizer="elastic", tau_init=-1.0,
                           attention_path="two_pass", tile=8),
+    "sparsemax": dict(positional="rope", normalizer="sparsemax"),
 }
 
 
