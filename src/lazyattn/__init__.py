@@ -46,7 +46,6 @@ from .attention import (
 from .model import (
     BOS_ID,
     BYTE_VOCAB,
-    MASK_ID,
     CheckpointError,
     ModelConfig,
     TransformerLM,
@@ -61,7 +60,6 @@ from .training import (
     TrainResult,
     ingest,
     lr_at,
-    mask_at_insert,
     mean_nll,
     tokenize_bytes,
     train,

@@ -2,8 +2,7 @@
 
 Each block is x + MHA(LN(x)) followed by x + FFN(LN(x)); the FFN is two
 linear maps around a tanh-form GELU with a 4x hidden width. Tokens are raw
-bytes plus a BOS marker (vocab 257), with one extra reserved id when the
-fixed-mask training probe is enabled. All configurations allocate the
+bytes plus a BOS marker (vocab 257). All configurations allocate the
 distance-bias and offset parameters even when a mode ignores them, so
 models built from the same seed share every random draw and differ only in
 how the attention uses the parameters.
@@ -43,7 +42,6 @@ from .positional import BiasTable, RopeConfig
 
 BYTE_VOCAB = 256
 BOS_ID = 256
-MASK_ID = 257
 
 _CKPT_MAGIC = b"LAZYATTN"
 _CKPT_FORMAT = 1
@@ -80,7 +78,6 @@ class ModelConfig:
     freeze_bias: bool = False
     tile: int = 64
     attention_path: str = "naive"
-    mask_token: bool = False
     dtype: str = "float32"
     seed: int = 0
 
@@ -108,8 +105,7 @@ class ModelConfig:
 
     @property
     def vocab_size(self) -> int:
-        # bytes + BOS, plus exactly one reserved id when the mask probe is on
-        return BYTE_VOCAB + 1 + (1 if self.mask_token else 0)
+        return BYTE_VOCAB + 1  # bytes + BOS
 
     @property
     def effective_window(self) -> int:

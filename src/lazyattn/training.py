@@ -7,9 +7,6 @@ a minimum-LR fraction, global-norm gradient clipping, and decoupled weight
 decay that skips the elastic offsets and distance-bias tables (decay would
 drag the offsets back to zero and flatten the learned decay curves).
 
-An optional probe replaces the token at one fixed position of every
-training chunk with a reserved mask id.
-
 A training step cuts its batch rows into ``SHARDS`` contiguous shards (one
 when the batch has a single row). Each shard's loss and backward run on a
 replica of the model that shares its parameter arrays but owns its grad
@@ -43,7 +40,7 @@ import numpy as np
 
 from . import core
 from .core import Tape, Tensor, backward
-from .model import BOS_ID, MASK_ID, ModelConfig, TransformerLM, check_finite, save_checkpoint
+from .model import BOS_ID, ModelConfig, TransformerLM, check_finite, save_checkpoint
 
 NO_DECAY_SUFFIXES = ("attn.tau", "attn.bias_table")
 SHARDS = 2  # row shards per training step
@@ -71,7 +68,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     grad_clip: float = 1.0
     seed: int = 0
-    mask_at: int | None = None
     eval_every: int = 250
     eval_frac: float = 0.02
 
@@ -93,13 +89,6 @@ class TrainConfig:
             raise ConfigError(f"batch_tokens {self.batch_tokens} not divisible by context {n_ctx}")
         if not 0.0 <= self.min_lr_frac <= 1.0:
             raise ConfigError("min_lr_frac must lie in [0, 1]")
-        if self.mask_at is not None:
-            _check_mask_at(self.mask_at, n_ctx)
-
-
-def _check_mask_at(k: int, n_ctx: int) -> None:
-    if not 2 <= k < n_ctx:
-        raise ConfigError(f"mask position {k} outside [2, {n_ctx})")
 
 
 def tokenize_bytes(data: bytes) -> np.ndarray:
@@ -139,14 +128,6 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     span = max(cfg.steps - cfg.warmup, 1)
     progress = min((step - cfg.warmup) / span, 1.0)
     return floor + (cfg.peak_lr - floor) * 0.5 * (1.0 + math.cos(math.pi * progress))
-
-
-def mask_at_insert(batch: np.ndarray, k: int, n_ctx: int) -> np.ndarray:
-    """Replace position ``k`` of every chunk with the reserved mask id."""
-    _check_mask_at(k, n_ctx)
-    out = batch.copy()
-    out[:, k] = MASK_ID
-    return out
 
 
 class AdamW:
@@ -333,8 +314,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
     platform, whatever the number of threads.
     """
     train_cfg.validate(model_cfg.n_ctx)
-    if train_cfg.mask_at is not None and not model_cfg.mask_token:
-        raise ConfigError("mask_at requires the model's mask_token vocabulary flag")
 
     chunks = ingest(train_cfg.corpus, model_cfg.n_ctx, train_cfg.seed)
     n_eval = max(2, int(round(len(chunks) * train_cfg.eval_frac)))
@@ -396,8 +375,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, *, quiet: bool = True)
                 order = np.random.default_rng([train_cfg.seed, epoch]).permutation(len(train_chunks))
             batch = train_chunks[order[cursor:cursor + batch_size]]
             cursor += batch_size
-            if train_cfg.mask_at is not None:
-                batch = mask_at_insert(batch, train_cfg.mask_at, model_cfg.n_ctx)
 
             loss_val = _sharded_grads(replicas, batch, shard_map)
             if not math.isfinite(loss_val):
@@ -476,10 +453,7 @@ def build_configs(kv: dict[str, str]) -> tuple[ModelConfig, TrainConfig]:
             raise ConfigError(f"unknown config key {key!r}")
         for cls, target in targets:
             ftype = cls.__dataclass_fields__[key].type
-            if ftype == "int | None" and value.lower() in ("none", ""):
-                target[key] = None
-                continue
-            base = {"int": int, "int | None": int, "float": float, "str": str, "bool": bool}.get(ftype, str)
+            base = {"int": int, "float": float, "str": str, "bool": bool}.get(ftype, str)
             try:
                 target[key] = _coerce(value, base)
             except ValueError as exc:

@@ -410,9 +410,12 @@ def test_eval_ppl_reraises_a_failed_batch_and_joins_its_threads(small_corpus_pat
     ("eval", ["--lengths", "128,"], "--lengths must be comma-separated integers, got '128,'"),
     ("eval", ["--lengths", "abc"], "--lengths must be comma-separated integers, got 'abc'"),
     ("eval", ["--lengths", ""], "--lengths must be comma-separated integers, got ''"),
+    ("probe-repeat", ["--token", "257"], "outside the vocabulary"),
+    ("probe-repeat", ["--token", "-1"], "outside the vocabulary"),
 ])
 def test_cli_rejects_nonpositive_sizes(tmp_path, capsys, command, args, name):
-    """A size below its minimum, or a malformed --lengths list, exits 2 with a named error."""
+    """A size below its minimum, a malformed --lengths list, or a token outside the vocabulary
+    exits 2 with a named error."""
     from lazyattn.cli import main
     from lazyattn.model import save_checkpoint
 

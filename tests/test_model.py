@@ -52,9 +52,8 @@ def test_config_validation():
             ModelConfig(n_layers=layers)
 
 
-def test_vocab_size_extends_by_one_for_mask():
+def test_vocab_size_is_bytes_plus_bos():
     assert ModelConfig().vocab_size == 257
-    assert ModelConfig(mask_token=True).vocab_size == 258
 
 
 def test_zeroed_output_projections_make_block_identity():
@@ -244,6 +243,7 @@ MANIFEST_CORRUPTIONS = {
     "config nan tau_init": _set(["config", "tau_init"], float("nan")),
     "config unknown normalizer": _set(["config", "normalizer"], "entmax"),
     "config removed normalizer fixed": _set(["config", "normalizer"], "fixed"),
+    "config removed key mask_token": _set(["config", "mask_token"], False),
     "params not a list": _set(["params"], {"embed": [257, 16]}),
     "params entry not an object": _set(["params", 0], "embed"),
     "params entry without shape": _set(["params", 0, "shape"], None),

@@ -12,7 +12,7 @@ import pytest
 
 from lazyattn import core, training
 from lazyattn.core import Tape, Tensor, backward
-from lazyattn.model import BOS_ID, MASK_ID, ModelConfig, TransformerLM, load_checkpoint
+from lazyattn.model import BOS_ID, ModelConfig, TransformerLM, load_checkpoint
 from lazyattn.training import (
     AdamW,
     ConfigError,
@@ -20,7 +20,6 @@ from lazyattn.training import (
     build_configs,
     ingest,
     lr_at,
-    mask_at_insert,
     parse_config_file,
     tokenize_bytes,
     train,
@@ -77,19 +76,6 @@ def test_lr_schedule_monotone_decay_after_warmup():
     cfg = TrainConfig(steps=400, warmup=50)
     vals = [lr_at(s, cfg) for s in range(50, 401)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def test_mask_at_insert():
-    batch = np.arange(40).reshape(4, 10) % 256
-    out = mask_at_insert(batch, 3, n_ctx=9)
-    assert np.all(out[:, 3] == MASK_ID)
-    keep = np.ones(10, dtype=bool)
-    keep[3] = False
-    assert np.array_equal(out[:, keep], batch[:, keep])
-    assert not np.shares_memory(out, batch)
-    for bad in (0, 1, 9, 50):
-        with pytest.raises(ConfigError):
-            mask_at_insert(batch, bad, n_ctx=9)
 
 
 def test_adamw_zero_grad_touches_only_decayed_groups():
@@ -477,18 +463,6 @@ def test_training_writes_metadata_and_eval(small_corpus_path, tmp_path):
     assert manifest["step"] == 12
 
 
-def test_training_with_mask_probe(small_corpus_path, tmp_path):
-    mc, tc = smoke_cfgs(small_corpus_path, tmp_path / "run", steps=5, mask_token=True)
-    tc.mask_at = 4
-    result = train(mc, tc)
-    model, _ = load_checkpoint(result.checkpoint)
-    assert model.cfg.vocab_size == 258
-    mc2, tc2 = smoke_cfgs(small_corpus_path, tmp_path / "run2", steps=5)
-    tc2.mask_at = 4  # mask probe without the reserved vocab slot
-    with pytest.raises(ConfigError):
-        train(mc2, tc2)
-
-
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(steps=10, warmup=20).validate(32)
@@ -497,10 +471,6 @@ def test_train_config_validation():
     for bad in (0, -32, 16):  # below one context, even where divisible by it
         with pytest.raises(ConfigError, match="below one context"):
             TrainConfig(batch_tokens=bad).validate(32)
-    for bad in (1, 32, 40):
-        with pytest.raises(ConfigError, match="mask position"):
-            TrainConfig(mask_at=bad).validate(32)
-    TrainConfig(mask_at=31).validate(32)
 
 
 def test_parse_config_file(tmp_path):
@@ -513,13 +483,11 @@ def test_parse_config_file(tmp_path):
         "normalizer = elastic\n"
         "tau_init = -1.0\n"
         "freeze_tau = false\n"
-        "mask_at = none\n"
     )
     kv = parse_config_file(p)
     mc, tc = build_configs(kv)
     assert tc.steps == 40 and tc.peak_lr == 1e-3 and tc.corpus == "data.txt"
     assert mc.normalizer == "elastic" and mc.tau_init == -1.0 and mc.freeze_tau is False
-    assert tc.mask_at is None
 
 
 def test_config_file_seed_reaches_model_and_training(tmp_path):
@@ -559,6 +527,8 @@ BAD_MODEL_KEYS = {
     "nan rope_base": ("rope_base = nan\n", "rope_base must be finite"),
     "nan tau_init": ("tau_init = nan\n", "tau_init must be finite"),
     "infinite tau_init": ("tau_init = -inf\n", "tau_init must be finite"),
+    "removed key mask_at": ("mask_at = 4\n", "unknown config key 'mask_at'"),
+    "removed key mask_token": ("mask_token = true\n", "unknown config key 'mask_token'"),
 }
 
 
@@ -580,7 +550,6 @@ def test_bad_model_keys_fail_before_training_writes(bad, small_corpus_path, tmp_
 BAD_TRAIN_KEYS = {
     "zero batch_tokens": ({"batch_tokens": 0}, "batch_tokens 0"),
     "negative batch_tokens": ({"batch_tokens": -32}, "batch_tokens -32"),
-    "mask_at past the context": ({"mask_token": "true", "mask_at": 40}, "mask position 40"),
     "negative warmup": ({"warmup": -5}, "warmup must lie in [0, steps]"),
     "negative peak_lr": ({"peak_lr": -1}, "peak_lr must be >= 0"),
     "beta1 above one": ({"beta1": 1.5}, "beta1 must lie in [0, 1)"),
@@ -596,7 +565,7 @@ BAD_TRAIN_KEYS = {
     "infinite weight_decay": ({"weight_decay": "inf"}, "weight_decay must be finite"),
     "nan beta1": ({"beta1": "nan"}, "beta1 must be finite"),
     "infinite min_lr_frac": ({"min_lr_frac": "inf"}, "min_lr_frac must be finite"),
-    "mask_at not an int": ({"mask_token": "true", "mask_at": "abc"}, "bad value for mask_at: "),
+    "steps not an int": ({"steps": "abc"}, "bad value for steps: "),
 }
 
 
