@@ -27,7 +27,6 @@ from .core import (
 from .positional import (
     BiasTable,
     RopeConfig,
-    alibi_slope,
     apply_rope,
 )
 from .normalizers import (

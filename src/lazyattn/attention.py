@@ -1,22 +1,21 @@
 """Causal multi-head attention with pluggable row normalizers.
 
 Scores are scaled rotary dot products plus an optional per-head distance
-bias (or fixed ALiBi decay). Two execution paths compute the same
-function: ``attend_naive`` materializes the full weight matrix and is the
-reference, while ``attend_two_pass`` works through tiles of query rows.
-A tile's rows see only the keys up to its last row, so one (tile, keys)
-score block holds each of its rows whole: a single forward pass over it
-gives the rows' softmax max and sum, the offset + rectifier and the
-weighted value sum, and only the O(n) row statistics are kept, which
-keeps auxiliary memory linear in sequence length for a fixed tile size.
-The backward rebuilds each block from those statistics instead of
-storing the full matrix.
+bias. Two execution paths compute the same function: ``attend_naive``
+materializes the full weight matrix and is the reference, while
+``attend_two_pass`` works through tiles of query rows. A tile's rows see
+only the keys up to its last row, so one (tile, keys) score block holds
+each of its rows whole: a single forward pass over it gives the rows'
+softmax max and sum, the offset + rectifier and the weighted value sum,
+and only the O(n) row statistics are kept, which keeps auxiliary memory
+linear in sequence length for a fixed tile size. The backward rebuilds
+each block from those statistics instead of storing the full matrix.
 
 Both paths add one score term per row tile (the naive path's tile is the
 whole square): a read-only strided view of a line over decreasing
-distance that carries the learned table or the fixed ALiBi decay and the
-causal mask (-inf above the diagonal) in one addition. Score gradients
-fold back onto the table through a shifted copy of each group's rows.
+distance that carries the learned table and the causal mask (-inf above
+the diagonal) in one addition. Score gradients fold back onto the table
+through a shifted copy of each group's rows.
 
 Sparsemax needs globally sorted rows, which does not stream; it is
 supported on the naive path only.
@@ -36,7 +35,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import ShapeError, Tensor, matmul, record_op
 from .normalizers import NormalizerMode, sparsemax
-from .positional import RopeConfig, alibi_slope, apply_rope
+from .positional import RopeConfig, apply_rope
 
 
 @dataclass
@@ -45,7 +44,7 @@ class AttentionConfig:
 
     n_heads: int
     head_dim: int
-    positional: str = "rope_bias"  # "rope" | "rope_bias" | "alibi"
+    positional: str = "rope_bias"  # "rope" | "rope_bias"
     normalizer: NormalizerMode = NormalizerMode.ELASTIC_PER_QUERY
     tile: int = 64
     path: str = "naive"  # "naive" | "two_pass"
@@ -56,7 +55,7 @@ class AttentionConfig:
             raise ValueError("n_heads and head_dim must be positive")
         if self.tile < 1:
             raise ValueError("tile size must be >= 1")
-        if self.positional not in ("rope", "rope_bias", "alibi"):
+        if self.positional not in ("rope", "rope_bias"):
             raise ValueError(f"unknown positional mode {self.positional!r}")
         if self.path not in ("naive", "two_pass"):
             raise ValueError(f"unknown attention path {self.path!r}")
@@ -127,27 +126,19 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, batch: 
     return n
 
 
-def _resolve_bias(bias: Tensor | None, config: AttentionConfig, n: int,
-                  dtype) -> np.ndarray | None:
-    """(H, k) distance table of the positional mode, or None.
+def _resolve_bias(bias: Tensor | None, config: AttentionConfig, dtype) -> np.ndarray | None:
+    """(H, k) learned distance table ``bias`` as ``dtype``, or None without one.
 
-    ALiBi is the fixed table -slope_h * d over the n distances of a
-    length-n sequence; under ``rope_bias`` the table is ``bias``, if given.
-    Only ``rope_bias`` learns a table, so any other mode rejects one.
+    Only ``rope_bias`` learns a table, so ``rope`` rejects one.
     """
-    if bias is not None:
-        if config.positional != "rope_bias":
-            raise ValueError(f"a bias table needs positional 'rope_bias', not "
-                             f"{config.positional!r}")
-        tb = bias.data.reshape(1, -1) if bias.ndim == 1 else bias.data
-        if tb.ndim != 2 or tb.shape[0] != config.n_heads:
-            raise ShapeError(f"bias table must be ({config.n_heads}, window+1), got {bias.shape}")
-    if config.positional == "alibi":
-        slopes = np.array([alibi_slope(hd, config.n_heads) for hd in range(config.n_heads)],
-                          dtype=dtype)
-        return -slopes[:, None] * np.arange(n, dtype=dtype)
     if bias is None:
         return None
+    if config.positional != "rope_bias":
+        raise ValueError(f"a bias table needs positional 'rope_bias', not "
+                         f"{config.positional!r}")
+    tb = bias.data.reshape(1, -1) if bias.ndim == 1 else bias.data
+    if tb.ndim != 2 or tb.shape[0] != config.n_heads:
+        raise ShapeError(f"bias table must be ({config.n_heads}, window+1), got {bias.shape}")
     return tb.astype(dtype, copy=False)
 
 
@@ -264,7 +255,7 @@ def attend_naive(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     dtype = q.data.dtype
     sc = 1.0 / math.sqrt(dh)
     mode = config.normalizer
-    table = _resolve_bias(bias, config, n, dtype)
+    table = _resolve_bias(bias, config, dtype)
     off, div = _resolve_offsets(tau, config, batch, n, dtype)
     lower = _lower_mask(n)
 
@@ -347,7 +338,7 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     sc = 1.0 / math.sqrt(dh)
     tile = min(config.tile, n)
 
-    table = _resolve_bias(bias, config, n, dtype)
+    table = _resolve_bias(bias, config, dtype)
     off, div = _resolve_offsets(tau, config, batch, n, dtype)
 
     q3 = _split_groups(q.data, batch, h)
@@ -453,9 +444,8 @@ def multi_head(x: Tensor, layer: dict[str, Tensor], config: AttentionConfig,
     q = matmul(x, layer["attn.wq"])
     k = matmul(x, layer["attn.wk"])
     v = matmul(x, layer["attn.wv"])
-    if config.positional != "alibi":
-        q = apply_rope(q, positions, rope_cfg)
-        k = apply_rope(k, positions, rope_cfg)
+    q = apply_rope(q, positions, rope_cfg)
+    k = apply_rope(k, positions, rope_cfg)
 
     bias = layer["attn.bias_table"] if config.positional == "rope_bias" else None
     tau = layer["attn.tau"]

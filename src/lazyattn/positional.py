@@ -2,10 +2,8 @@
 
 Two complementary mechanisms: dimension-wise rotary embedding (feature
 pairs rotated at geometric frequencies) and a head-wise learnable bias
-over relative distance, zero beyond a local window. A fixed-slope linear
-decay (ALiBi style) is kept as a non-learnable comparison mode. The
-attention module turns the bias table and the ALiBi slopes into score
-biases.
+over relative distance, zero beyond a local window. The attention module
+turns the bias table into score biases.
 """
 
 from __future__ import annotations
@@ -96,11 +94,3 @@ class BiasTable:
             Tensor(np.zeros((n_heads, window + 1)), requires_grad=True, dtype=dtype)
             for _ in range(n_layers)
         ]
-
-
-def alibi_slope(head: int, n_heads: int) -> float:
-    """Geometric slope 2^(-8(head+1)/H) for 0-based head indices."""
-    if not 0 <= head < n_heads:
-        raise IndexError(f"head {head} outside [0, {n_heads})")
-    return float(2.0 ** (-8.0 * (head + 1) / n_heads))
-

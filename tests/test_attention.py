@@ -49,11 +49,6 @@ def rand_qkv(rng, n, width, dtype="float64", grad=False):
                  for _ in range(3))
 
 
-def alibi_vec(n, head=0, heads=1):
-    """ALiBi score biases of one head over distances 0..n-1: -2^(-8(h+1)/H) * d."""
-    return [-(2.0 ** (-8.0 * (head + 1) / heads)) * d for d in range(n)]
-
-
 def test_scores_zero_bias_is_scaled_dot():
     rng = np.random.default_rng(0)
     q, k, v = rand_qkv(rng, 5, 8)
@@ -340,7 +335,7 @@ def attention_cases(draw, max_n=40, max_heads=3):
     tile = draw(st.sampled_from([1, n, n + draw(st.integers(1, 8))]
                                 + ([draw(st.sampled_from(nondivisors))] if nondivisors else [])))
     heads = draw(st.integers(1, max_heads))
-    positional = draw(st.sampled_from(["rope", "rope_bias", "alibi"]))
+    positional = draw(st.sampled_from(["rope", "rope_bias"]))
     mode = draw(st.sampled_from(list(MODES)))
     return dict(n=n, tile=tile, batch=draw(st.integers(1, 3)), heads=heads,
                 positional=positional, mode=mode,
@@ -393,8 +388,6 @@ def test_two_pass_matches_naive_on_random_shapes(case):
         bias_vec, window = None, 0
         if case["positional"] == "rope_bias":
             bias_vec, window = arrays["bias"][h], case["window"]
-        elif case["positional"] == "alibi":
-            bias_vec, window = alibi_vec(n, h, heads), n
         want, _ = loop(h, bias_vec, window)
         assert np.abs(out[:, h * dh:(h + 1) * dh] - want).max() < 1e-10
         if case["positional"] == "rope_bias":
@@ -425,10 +418,10 @@ def test_two_pass_backward_at_row_dot_corners(mode, tau):
 
 
 @pytest.mark.parametrize("attend", [attend_naive, attend_two_pass])
-@pytest.mark.parametrize("positional", ["rope", "alibi"])
+@pytest.mark.parametrize("positional", ["rope"])
 def test_bias_table_needs_rope_bias(attend, positional):
-    """Only rope_bias learns a distance table; other modes reject one instead of
-    shifting the scores by a table they never differentiate."""
+    """Only rope_bias learns a distance table; rope rejects one instead of
+    shifting the scores by a table it never differentiates."""
     rng = np.random.default_rng(22)
     q, k, v = rand_qkv(rng, 5, 8)
     bias = Tensor(rng.normal(size=(1, 3)), requires_grad=True, dtype="float64")
@@ -583,15 +576,3 @@ def test_multi_head_full_gradient():
         lambda: core.sum_all(core.mul(multi_head(x, params, cfg, rope, positions), w)),
         tensors)
     assert err < 1e-4
-
-
-def test_alibi_mode_uses_fixed_decay_and_no_rope():
-    rng = np.random.default_rng(19)
-    n, dh = 6, 8
-    q, k, v = rand_qkv(rng, n, dh)
-    cfg = make_cfg("softmax", positional="alibi")
-    cap = CaptureBuffer()
-    attend_naive(q, k, v, cfg, capture=cap)
-    _, want = attention_scalar_loop(q.data, k.data, v.data,
-                                    bias_vec=alibi_vec(n), window=n)
-    assert np.abs(cap.layers[0][0, 0] - want).max() < 1e-6

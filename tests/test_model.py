@@ -243,6 +243,7 @@ MANIFEST_CORRUPTIONS = {
     "config nan tau_init": _set(["config", "tau_init"], float("nan")),
     "config unknown normalizer": _set(["config", "normalizer"], "entmax"),
     "config removed normalizer fixed": _set(["config", "normalizer"], "fixed"),
+    "config removed positional alibi": _set(["config", "positional"], "alibi"),
     "config removed key mask_token": _set(["config", "mask_token"], False),
     "params not a list": _set(["params"], {"embed": [257, 16]}),
     "params entry not an object": _set(["params", 0], "embed"),
@@ -288,7 +289,7 @@ def test_cli_reports_corrupt_manifest_with_exit_code_2(tmp_path, capsys):
     save_checkpoint(tiny_model(seed=12), path)
     bad = tmp_path / "bad.bin"
     for corruption in ("config unknown key", "config zero heads", "config zero layers",
-                       "config nan tau_init"):
+                       "config nan tau_init", "config removed positional alibi"):
         _rewrite_manifest(path, bad, MANIFEST_CORRUPTIONS[corruption])
         out = tmp_path / "t.csv"
         assert main(["export-offsets", "--checkpoint", str(bad), "--out", str(out)]) == 2

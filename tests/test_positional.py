@@ -1,4 +1,4 @@
-"""Rotary embedding, distance-bias table, and ALiBi slope tests."""
+"""Rotary embedding and distance-bias table tests."""
 
 import math
 
@@ -7,16 +7,13 @@ import pytest
 
 from lazyattn import core
 from lazyattn.attention import (
-    AttentionConfig,
     _distance_term,
     _fold_distance_grad,
-    _resolve_bias,
 )
 from lazyattn.core import Tape, Tensor, backward
 from lazyattn.positional import (
     BiasTable,
     RopeConfig,
-    alibi_slope,
     apply_rope,
 )
 from lazyattn.training import AdamW
@@ -168,20 +165,3 @@ def test_bias_gradient_only_at_realized_distances():
     opt.step(1e-2)
     assert np.any(table.data[:, 3] != before[:, 3])
     assert np.array_equal(table.data[:, 8], before[:, 8])
-
-
-def test_alibi_values():
-    assert math.isclose(alibi_slope(3, 4), 2.0 ** -8, rel_tol=1e-12)  # last of 4 heads
-    slopes = [alibi_slope(h, 8) for h in range(8)]
-    assert all(a > b for a, b in zip(slopes, slopes[1:]))
-    assert math.isclose(slopes[0], 0.5, rel_tol=1e-12)
-    with pytest.raises(IndexError):
-        alibi_slope(4, 4)
-
-
-def test_alibi_unit_slope_formula():
-    """The ALiBi distance table the attention paths read is -slope * distance."""
-    cfg = AttentionConfig(n_heads=8, head_dim=4, positional="alibi")
-    table = _resolve_bias(None, cfg, 5, np.float64)
-    assert table.shape == (8, 5) and table[1, 0] == 0.0
-    assert math.isclose(table[1, 3] / alibi_slope(1, 8), -3.0, rel_tol=1e-12)

@@ -529,6 +529,7 @@ BAD_MODEL_KEYS = {
     "infinite tau_init": ("tau_init = -inf\n", "tau_init must be finite"),
     "removed key mask_at": ("mask_at = 4\n", "unknown config key 'mask_at'"),
     "removed key mask_token": ("mask_token = true\n", "unknown config key 'mask_token'"),
+    "removed positional alibi": ("positional = alibi\n", "positional mode 'alibi'"),
 }
 
 
