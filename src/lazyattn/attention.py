@@ -11,11 +11,14 @@ and only the O(n) row statistics are kept, which keeps auxiliary memory
 linear in sequence length for a fixed tile size. The backward rebuilds
 each block from those statistics instead of storing the full matrix.
 
-Both paths add one score term per row tile (the naive path's tile is the
-whole square): a read-only strided view of a line over decreasing
-distance that carries the learned table and the causal mask (-inf above
-the diagonal) in one addition. Score gradients fold back onto the table
-through a shifted copy of each group's rows.
+Scores get one distance term, a read-only strided view of a line over
+decreasing distance that carries the learned table and the causal mask
+(-inf above the diagonal) in one addition. Its entries depend only on
+distance: the naive path adds it over the whole square, and the two-pass
+path builds the last row tile's term once per call and adds each tile's
+bottom-right corner of it. Score gradients fold back onto the table once
+per call through a shifted copy of each group's rows; the two-pass
+backward first adds every tile's at its corner of one tile-sized buffer.
 
 Sparsemax needs globally sorted rows, which does not stream; it is
 supported on the naive path only.
@@ -199,6 +202,17 @@ def _fold_distance_grad(ds: np.ndarray, dtable: np.ndarray) -> None:
         dtable[g % h, :near] += fold[:, r1 - near:r1].sum(axis=0)[::-1]
 
 
+def _tile_term(term: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows [r0, r1) x keys [0, r1) of a (., T, n) array laid out for rows [n - T, n).
+
+    A distance term depends only on distance, so the term of a tile of at
+    most T rows, and the place its score gradient folds from, is the
+    bottom-right corner of the last tile's.
+    """
+    _, last, n = term.shape
+    return term[:, last - (r1 - r0):, n - r1:]
+
+
 def _tape_inputs(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, tau: Tensor | None,
                  config: AttentionConfig) -> tuple[Tensor, ...]:
     """What an attention op differentiates: q, k, v, then a learned bias table and tau."""
@@ -314,14 +328,18 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     only its last r1 - r0 columns need the causal mask. The forward builds
     each block once: it takes each row's max and exp-sum over the block,
     applies the offset + rectifier in place and writes O for those rows,
-    keeping only the per-row max and sum. Nothing of size n*n is
-    materialized (unless ``capture`` asks for the weights), so auxiliary
-    memory is O(n) per head at a fixed tile size.
+    keeping only the per-row max and sum. Each block adds its corner of one
+    contiguous (H, tile, n) distance term, built once per call for the last
+    tile. Nothing of size n*n is materialized (unless ``capture`` asks for
+    the weights): auxiliary memory is one block, the row statistics, O and
+    the term, still O(n) per head at a fixed tile size.
 
     The backward rebuilds each block from the saved max and sum, which
     gives the forward's weights bit for bit, takes the softmax row-dot
     rho_i = sum_j p_ij dpre_ij over the block, writes dq for the tile's
-    rows, and accumulates dk, dv, the tau gradient and the bias gradient.
+    rows, and accumulates dk and dv. The tau gradient's row sums and the
+    score gradient, at the block's corner of a (B*H, tile, n) buffer, are
+    kept until after the last tile, which reduces and folds them once.
     With one tile (tile >= n) output and gradients equal ``attend_naive``'s
     exactly.
 
@@ -348,6 +366,7 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
     tiles = [(r0, min(r0 + tile, n)) for r0 in range(0, n, tile)]
     m = np.empty((groups, n), dtype=dtype)  # row max and exp-sum of the scores
     l = np.empty((groups, n), dtype=dtype)
+    term = np.ascontiguousarray(_distance_term(table, n - tile, n, dtype))  # the last tile's
 
     def prob_block(r0: int, r1: int, fresh: bool = False) -> np.ndarray:
         """Softmax probabilities of rows [r0, r1) over keys [0, r1).
@@ -358,14 +377,14 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         p = q3[:, r0:r1] @ k3[:, :r1].transpose(0, 2, 1)
         p *= sc
         c0 = 0 if table is not None else r0  # a mask-only term touches the last r1 - r0 columns
-        p[:, :, c0:].reshape(batch, h, r1 - r0, r1 - c0)[...] += _distance_term(
-            table, r0 - c0, r1 - c0, dtype)
+        p[:, :, c0:].reshape(batch, h, r1 - r0, r1 - c0)[...] += (
+            _tile_term(term, r0, r1)[:, :, c0:])
         if fresh:
-            m[:, r0:r1] = p.max(axis=-1)
+            p.max(axis=-1, out=m[:, r0:r1])
         p -= m[:, r0:r1, None]
         np.exp(p, out=p)
         if fresh:
-            l[:, r0:r1] = p.sum(axis=-1)
+            p.sum(axis=-1, out=l[:, r0:r1])
         p /= l[:, r0:r1, None]
         return p
 
@@ -388,8 +407,8 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         if cap is not None:
             cap[:, r0:r1, :r1] = w
         if meter is not None:
-            # the score block (weights in place), the row max and sum, O
-            meter.observe(w.nbytes + m.nbytes + l.nbytes + out3.nbytes)
+            # the score block (weights in place), the row max and sum, O, the distance term
+            meter.observe(w.nbytes + m.nbytes + l.nbytes + out3.nbytes + term.nbytes)
 
     inputs = _tape_inputs(q, k, v, bias, tau, config)
     out = Tensor(_merge_groups(out3, batch, h),
@@ -402,8 +421,8 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
         dq3 = np.empty_like(q3)
         dk3 = np.zeros_like(k3)
         dv3 = np.zeros_like(v3)
-        dtau_g = None if off is None else np.zeros(groups, dtype=dtype)
-        dbias = None if bias is None else np.zeros_like(table)
+        rowsum = None if off is None else np.empty((groups, n), dtype=dtype)
+        dterm = None if bias is None else np.zeros((groups, tile, n), dtype=dtype)
         for r0, r1 in tiles:
             p = prob_block(r0, r1)
             gt = g3[:, r0:r1]
@@ -413,16 +432,21 @@ def attend_two_pass(q: Tensor, k: Tensor, v: Tensor, config: AttentionConfig, *,
             if off is not None:
                 w = rectify(p + off[:, r0:r1, None], r0, r1)
                 ds *= w > 0
-                dtau_g += (ds.sum(axis=-1) / div[r0:r1]).sum(axis=-1)
+                ds.sum(axis=-1, out=rowsum[:, r0:r1])
             ds -= np.einsum("gij,gij->gi", p, ds)[:, :, None]
             ds *= p
             dv3[:, :r1] += w.transpose(0, 2, 1) @ gt
-            dq3[:, r0:r1] = ds @ k3[:, :r1]
+            np.matmul(ds, k3[:, :r1], out=dq3[:, r0:r1])
             dk3[:, :r1] += ds.transpose(0, 2, 1) @ q3[:, r0:r1]
-            if dbias is not None:
-                _fold_distance_grad(ds, dbias)
+            if dterm is not None:  # equal distances share a cell, so one fold serves every tile
+                _tile_term(dterm, r0, r1)[...] += ds
         dq3 *= sc
         dk3 *= sc
+        dtau_g = None if off is None else (rowsum / div).sum(axis=-1)
+        dbias = None
+        if dterm is not None:
+            dbias = np.zeros_like(table)
+            _fold_distance_grad(dterm, dbias)
         return _pack_grads(dq3, dk3, dv3, dbias, dtau_g, bias, tau, batch, h)
 
     return record_op(out, inputs, vjp)

@@ -463,7 +463,7 @@ def test_tau_of_another_precision_keeps_the_inputs_dtype(mode):
 
 def test_two_pass_meter_counts_one_block_and_the_row_state():
     """Peak auxiliary bytes: the last row tile's score block (weights in place), the
-    row max and sum, and O; the same with and without a tape."""
+    row max and sum, O and the (H, tile, n) distance term; the same with and without a tape."""
     rng = np.random.default_rng(21)
     n, heads, dh, batch, tile = 96, 2, 8, 2, 16
     g, isz = batch * heads, 4
@@ -472,7 +472,7 @@ def test_two_pass_meter_counts_one_block_and_the_row_state():
     tau = Tensor(np.array([-1.0, -0.5]), requires_grad=True, dtype="float32")
     cfg = make_cfg("elastic", heads=heads, dh=dh, tile=tile)
     block = g * tile * n  # rows [80, 96) against keys [0, 96)
-    want = (block + 2 * g * n + g * n * dh) * isz
+    want = (block + 2 * g * n + g * n * dh + heads * tile * n) * isz
 
     meter = AllocationMeter()
     attend_two_pass(q, k, v, cfg, bias=bias, tau=tau, batch=batch, meter=meter)
@@ -485,15 +485,18 @@ def test_two_pass_meter_counts_one_block_and_the_row_state():
 
 
 def test_two_pass_builds_each_score_block_once_per_pass(monkeypatch):
-    """A tape-free forward builds one score block per row tile, and the backward
-    rebuilds each once more; under rope_bias the distance term counts the blocks."""
+    """A call builds one distance term, in its forward. A tape-free forward builds one
+    score block per row tile and the backward rebuilds each once more; every block takes
+    its tile's corner of the term, and the backward's bias gradient one more corner."""
     from lazyattn import attention
 
-    built = []
-    term = attention._distance_term
+    terms, corners = [], []
+    term, corner = attention._distance_term, attention._tile_term
     monkeypatch.setattr(attention, "_distance_term",
-                        lambda table, r0, r1, dtype: built.append((r0, r1))
+                        lambda table, r0, r1, dtype: terms.append((r0, r1))
                         or term(table, r0, r1, dtype))
+    monkeypatch.setattr(attention, "_tile_term",  # leading axis: H for the term, G for its grad
+                        lambda t, r0, r1: corners.append((len(t), r0, r1)) or corner(t, r0, r1))
     rng = np.random.default_rng(23)
     n, heads, dh, batch = 40, 2, 4, 2
     q, k, v = rand_qkv(rng, batch * n, heads * dh, grad=True)
@@ -501,15 +504,46 @@ def test_two_pass_builds_each_score_block_once_per_pass(monkeypatch):
     tau = Tensor(np.array([-1.0, -0.5]), requires_grad=True, dtype="float64")
     cfg = make_cfg("elastic", heads=heads, dh=dh, tile=16)
     tiles = [(0, 16), (16, 32), (32, 40)]
+    blocks = [(heads, r0, r1) for r0, r1 in tiles]
+    rebuilds = [c for r0, r1 in tiles for c in ((heads, r0, r1), (batch * heads, r0, r1))]
 
     attend_two_pass(q, k, v, cfg, bias=bias, tau=tau, batch=batch)
-    assert built == tiles
-    built.clear()
+    assert terms == [(24, 40)] and corners == blocks
+    terms.clear()
+    corners.clear()
     with Tape() as tape:
         loss = core.sum_all(attend_two_pass(q, k, v, cfg, bias=bias, tau=tau, batch=batch))
-    assert built == tiles
+    assert terms == [(24, 40)] and corners == blocks
     backward(tape, loss)
-    assert built == tiles + tiles
+    assert terms == [(24, 40)] and corners == blocks + rebuilds
+
+
+@pytest.mark.parametrize("n", [5, 12, 40])
+def test_two_pass_tiles_take_their_own_term_from_the_hoisted_one(monkeypatch, n):
+    """Each row tile's corner of the one term a call builds equals ``_distance_term`` of
+    that tile exactly (-inf in the same places), for tiles of 1 row, a non-divisor of n,
+    n and more than n rows, without a table and with one narrower and one wider than n."""
+    from lazyattn import attention
+
+    seen = []
+    corner = attention._tile_term
+    monkeypatch.setattr(attention, "_tile_term",
+                        lambda t, r0, r1: seen.append((r0, r1, corner(t, r0, r1).copy()))
+                        or corner(t, r0, r1))
+    rng = np.random.default_rng(26)
+    odd = next(t for t in range(2, n) if n % t)
+    for tile in (1, odd, n, n + 3):
+        step = min(tile, n)
+        for width in (None, 4, n + 6):
+            table = None if width is None else rng.normal(size=(2, width))
+            bias = None if table is None else Tensor(table, dtype="float64")
+            cfg = make_cfg("softmax", heads=2, dh=4, tile=tile,
+                           positional="rope" if table is None else "rope_bias")
+            seen.clear()
+            attend_two_pass(*rand_qkv(rng, n, 8), cfg, bias=bias)
+            assert [s[:2] for s in seen] == [(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
+            for r0, r1, got in seen:
+                assert np.array_equal(got, attention._distance_term(table, r0, r1, np.float64))
 
 
 def make_layer(rng, d, heads, window, dtype="float64"):
